@@ -54,6 +54,7 @@ from .sim import (
     InvalidStartError,
     RunResult,
     SimConfig,
+    TraceFormatError,
     TraceRow,
     read_trace,
     replay_check,

@@ -111,7 +111,7 @@ def run_cell(cell: Cell) -> dict:
         g = materialize(cell.family, dict(cell.params))
         start2 = cell.start2 if cell.start2 >= 0 else farthest_node(g, cell.start1)
         row["start2"] = start2
-        start_distance = bfs_distances(g, cell.start1)[start2]
+        start_distance = bfs_distances(g, cell.start1, target=start2)[start2]
         cap = default_round_cap(g.max_degree, start_distance, cell.label1, cell.label2)
         analytic = rendezvous_round_bound(g.max_degree, start_distance,
                                           cell.label1, cell.label2)
@@ -392,7 +392,7 @@ def check_oracle_equivalence() -> CriterionResult:
     for g in corpus:
         assert g.num_nodes <= 64
         table = all_pairs(g)
-        per_query = DistanceOracle(g, table_threshold=0)  # force BFS path
+        per_query = DistanceOracle(g)
         for u in range(g.num_nodes):
             for v in range(g.num_nodes):
                 cases += 1

@@ -223,14 +223,21 @@ class AdversaryInstance:
     start1: int
     start2: int
     agreement_horizon: int    # prefix length exhibited by the chosen pair
-    guaranteed_horizon: int   # floor(log2 L / (2 log2 degree)) * floor(degree/8)
+    guaranteed_horizon: int   # max j with degree**(2j) <= L, times floor(degree/8)
     extraction_horizon: int
     labels_examined: int
     sampled: bool
 
 
 def guaranteed_horizon(degree: int, label_space: int) -> int:
-    return int(math.log2(label_space) // (2 * math.log2(degree))) * (degree // 8)
+    """Largest ``j`` with ``degree**(2j) <= label_space``, times ``degree // 8``;
+    integer arithmetic, so exact powers are not rounded down."""
+    if degree < 2:
+        raise InvalidParamsError(f"degree must be at least 2, got {degree}")
+    blocks = 0
+    while degree ** (2 * (blocks + 1)) <= label_space:
+        blocks += 1
+    return blocks * (degree // 8)
 
 
 def default_extraction_horizon(degree: int, label_space: int) -> int:

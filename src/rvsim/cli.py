@@ -23,7 +23,7 @@ from .graphs import (GraphError, butterfly_index, generate_butterfly,
                      generate_caterpillar, generate_random_connected,
                      generate_ring, load_graph, save_graph)
 from .oracle import bfs_distances
-from .sim import MET, SimConfig, run, trace_header, write_trace
+from .sim import MET, SimConfig, check_starts, run, trace_header, write_trace
 
 
 def _ints(text: str) -> list[int]:
@@ -105,7 +105,8 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     g = load_graph(args.graph)
-    start_distance = bfs_distances(g, args.start1)[args.start2]
+    check_starts(g, args.start1, args.start2)
+    start_distance = bfs_distances(g, args.start1, target=args.start2)[args.start2]
     cap = args.round_cap or default_round_cap(g.max_degree, start_distance,
                                               args.label1, args.label2)
     analytic = rendezvous_round_bound(g.max_degree, start_distance,

@@ -1,4 +1,11 @@
-"""Distance queries over port graphs: exact BFS, cached tables, change signs."""
+"""Distance queries over port graphs: exact BFS, a lazy per-pair oracle,
+change signs.
+
+The oracle answers each query with a BFS from one endpoint that stops at the
+other, so a run pays for the pairs it reads rather than for the whole graph.
+``all_pairs`` builds the full table; it is kept as an independent reference
+for tests and the release gate, not used by the engine.
+"""
 
 from __future__ import annotations
 
@@ -58,26 +65,30 @@ def all_pairs(g: PortGraph, max_nodes: int = 4096) -> list[list[int]]:
 class DistanceOracle:
     """Per-run exact distance device over one immutable graph.
 
-    Small graphs get a precomputed table; larger ones fall back to per-query
-    BFS memoized on the (unordered) endpoint pair, which suits simulation
-    queries whose endpoints drift one hop per round.
+    Construction does no work. Each query runs an early-stopping BFS and
+    memoises the answer on the unordered endpoint pair, which suits simulation
+    queries whose endpoints drift one hop per round. The memo holds at most
+    ``MEMO_LIMIT`` pairs and is emptied when full, so it stays flat over
+    arbitrarily long runs.
+
+    ``table_threshold`` is ignored; it is accepted so that callers written for
+    the former table-building oracle keep working.
     """
 
-    def __init__(self, g: PortGraph, table_threshold: int = 4096):
+    MEMO_LIMIT = 1 << 12
+
+    def __init__(self, g: PortGraph, table_threshold: int | None = None):
         self._g = g
-        self._table: list[list[int]] | None = None
         self._memo: dict[tuple[int, int], int] = {}
-        if g.num_nodes <= table_threshold:
-            self._table = all_pairs(g, table_threshold)
 
     def distance(self, u: int, v: int) -> int:
-        if self._table is not None:
-            return self._table[u][v]
         if u == v:
             return 0
         key = (u, v) if u < v else (v, u)
-        d = self._memo.get(key)
+        memo = self._memo
+        d = memo.get(key)
         if d is None:
-            d = bfs_distances(self._g, key[0], target=key[1])[key[1]]
-            self._memo[key] = d
+            if len(memo) >= self.MEMO_LIMIT:
+                memo.clear()
+            d = memo[key] = bfs_distances(self._g, key[0], target=key[1])[key[1]]
         return d

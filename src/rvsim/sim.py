@@ -30,6 +30,21 @@ class InvalidStartError(ValueError):
     pass
 
 
+class TraceFormatError(ValueError):
+    """Malformed trace file; carries a 1-based line number when known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.line = line
+
+
+def check_starts(g: PortGraph, start1: int, start2: int) -> None:
+    """Raise InvalidStartError unless both starts are nodes of ``g``."""
+    n = g.num_nodes
+    if not (0 <= start1 < n and 0 <= start2 < n):
+        raise InvalidStartError(f"starts ({start1}, {start2}) outside 0..{n - 1}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     round_cap: int = 10 ** 6
@@ -93,9 +108,7 @@ def run(g: PortGraph, start1: int, start2: int,
     co-located starts report met at round 0 with an empty trace.
     """
     cfg = cfg or SimConfig()
-    n = g.num_nodes
-    if not (0 <= start1 < n and 0 <= start2 < n):
-        raise InvalidStartError(f"starts ({start1}, {start2}) outside 0..{n - 1}")
+    check_starts(g, start1, start2)
 
     keep_rows = cfg.trace_detail == "full"
     rows: list[TraceRow] | None = [] if keep_rows else None
@@ -221,19 +234,28 @@ def read_trace(fh: IO[str]) -> tuple[dict, list[TraceRow], dict]:
     header: dict | None = None
     rows: list[TraceRow] = []
     result: dict | None = None
-    for line in fh:
+    for lineno, line in enumerate(fh, start=1):
         if not line.strip():
             continue
-        rec = json.loads(line)
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise TraceFormatError(f"not JSON ({exc})", lineno) from None
+        if not isinstance(rec, dict):
+            raise TraceFormatError("record is not a JSON object", lineno)
         kind = rec.get("kind")
         if kind == "header":
             header = rec
         elif kind == "row":
-            rows.append(TraceRow(rec["round"], rec["pos1"], rec["pos2"], rec["dist"],
-                                 rec["port1"], rec["port2"], rec["arrival1"],
-                                 rec["arrival2"], rec["next1"], rec["next2"]))
+            try:
+                rows.append(TraceRow(rec["round"], rec["pos1"], rec["pos2"], rec["dist"],
+                                     rec["port1"], rec["port2"], rec["arrival1"],
+                                     rec["arrival2"], rec["next1"], rec["next2"]))
+            except KeyError as exc:
+                raise TraceFormatError(f"row record missing field {exc.args[0]!r}",
+                                       lineno) from None
         elif kind == "result":
             result = rec
     if header is None or result is None:
-        raise ValueError("trace missing header or result record")
+        raise TraceFormatError("trace missing header or result record")
     return header, rows, result

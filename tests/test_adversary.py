@@ -202,6 +202,9 @@ class TestBuildInstance:
     def test_guaranteed_horizon_formula(self):
         assert guaranteed_horizon(16, 2 ** 64) == (64 // 8) * 2 == 16
         assert guaranteed_horizon(8, 2 ** 20) == (20 // 6) * 1 == 3
+        # exact powers, where a float log2 ratio rounds one block low
+        assert guaranteed_horizon(20, 20 ** 6) == 3 * 2 == 6
+        assert guaranteed_horizon(14, 14 ** 10) == 5 * 1 == 5
 
     def test_sampled_big_label_space(self):
         inst = build_instance(rendezvous_program, degree=8, label_space=2 ** 40,

@@ -70,6 +70,18 @@ class TestRun:
         assert main(["run", "--graph", str(tmp_path / "nope.txt"), "--start1", "0",
                      "--start2", "1", "--label1", "0", "--label2", "1"]) == 2
 
+    @pytest.mark.parametrize("starts", [("6", "1"), ("0", "99")])
+    def test_start_outside_graph_exit_2(self, tmp_path, capsys, starts):
+        gpath = tmp_path / "ring.txt"
+        main(["generate", "--family", "ring", "--size", "6", "--out", str(gpath)])
+        capsys.readouterr()
+        code = main(["run", "--graph", str(gpath), "--start1", starts[0],
+                     "--start2", starts[1], "--label1", "0", "--label2", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "outside 0..5" in captured.err
+
     def test_trace_deterministic(self, tmp_path, capsys):
         gpath = tmp_path / "g.txt"
         main(["generate", "--family", "random", "--size", "20", "--max-degree", "5",

@@ -1,9 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
+import rvsim.oracle as oracle_module
 from rvsim import (
     DistanceDelta,
     DistanceOracle,
+    SimConfig,
     TooLargeError,
     all_pairs,
     build,
@@ -14,6 +18,8 @@ from rvsim import (
     generate_random_connected,
     generate_ring,
     horizontal_distance,
+    rendezvous_program,
+    run,
 )
 
 
@@ -61,7 +67,7 @@ def test_all_pairs_too_large():
 def test_bfs_matches_table_exhaustively(seed):
     g = generate_random_connected(40, 6, seed=seed)
     table = all_pairs(g)
-    oracle = DistanceOracle(g, table_threshold=0)  # force per-query BFS
+    oracle = DistanceOracle(g)
     for u in range(g.num_nodes):
         for v in range(g.num_nodes):
             assert oracle.distance(u, v) == table[u][v]
@@ -89,3 +95,51 @@ def test_unit_step_property(n, seed):
             w, _ = g.neighbor(u, p)
             for v in range(n):
                 assert abs(table[u][v] - table[w][v]) <= 1
+
+
+def test_construction_runs_no_bfs(monkeypatch):
+    calls = []
+    bfs = oracle_module.bfs_distances
+    monkeypatch.setattr(oracle_module, "bfs_distances",
+                        lambda *args, **kwargs: calls.append(args) or bfs(*args, **kwargs))
+    oracle = DistanceOracle(generate_ring(50))
+    assert calls == []
+    assert oracle.distance(0, 25) == oracle.distance(25, 0) == 25
+    assert len(calls) == 1  # one early-stopping BFS, then the memo
+
+
+@pytest.mark.parametrize("n, max_degree, seed", [(30, 3, 0), (200, 6, 1), (4200, 5, 2)])
+def test_distances_match_networkx(n, max_degree, seed):
+    nx = pytest.importorskip("networkx")
+    g = generate_random_connected(n, max_degree, seed=seed)
+    ref = nx.Graph()
+    ref.add_nodes_from(range(n))
+    ref.add_edges_from((u, v) for u, _, v, _ in g.edges())
+    oracle = DistanceOracle(g)
+    rng = random.Random(seed)
+    for u in rng.sample(range(n), min(n, 8)):
+        lengths = nx.shortest_path_length(ref, source=u)
+        for v in rng.sample(range(n), min(n, 25)):
+            assert oracle.distance(u, v) == oracle.distance(v, u) == lengths[v]
+
+
+def test_memo_stays_bounded_and_exact():
+    g = generate_ring(100)  # 4950 unordered pairs, more than the memo limit
+    assert g.num_nodes * (g.num_nodes - 1) // 2 > DistanceOracle.MEMO_LIMIT
+    table = all_pairs(g)
+    oracle = DistanceOracle(g)
+    for u in range(g.num_nodes):
+        for v in range(g.num_nodes):
+            assert oracle.distance(u, v) == table[u][v]
+            assert len(oracle._memo) <= DistanceOracle.MEMO_LIMIT
+
+
+def test_meeting_round_does_not_depend_on_n():
+    # the bound is O(delta (D + log label)); the graph size does not enter it
+    rounds = set()
+    for n in (10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5):
+        res = run(generate_ring(n), 0, 5, rendezvous_program(3),
+                  rendezvous_program(2 ** 16 - 1), SimConfig(trace_detail="meeting-only"))
+        assert res.met
+        rounds.add(res.rounds)
+    assert rounds == {39}

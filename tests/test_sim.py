@@ -1,4 +1,5 @@
 import io
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +9,7 @@ from rvsim import (
     MET,
     InvalidStartError,
     SimConfig,
+    TraceFormatError,
     TraceRow,
     build,
     constant_program,
@@ -146,3 +148,67 @@ class TestTraceSerialization:
             write_trace(buf, trace_header(g, 0, 3, 2, 3, cfg), res)
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
+
+
+def _trace_lines() -> list[str]:
+    g = generate_ring(6)
+    cfg = SimConfig(round_cap=300)
+    res = run(g, 0, 3, rendezvous_program(2), rendezvous_program(3), cfg)
+    buf = io.StringIO()
+    write_trace(buf, trace_header(g, 0, 3, 2, 3, cfg), res)
+    return buf.getvalue().splitlines(keepends=True)
+
+
+TRACE_LINES = _trace_lines()
+
+
+class TestTraceErrors:
+    def test_missing_row_field_names_line_and_field(self):
+        lines = list(TRACE_LINES)
+        rec = json.loads(lines[2])
+        del rec["next1"]
+        lines[2] = json.dumps(rec) + "\n"
+        with pytest.raises(TraceFormatError, match="line 3: .*'next1'") as info:
+            read_trace(io.StringIO("".join(lines)))
+        assert info.value.line == 3
+
+    def test_non_object_record(self):
+        lines = list(TRACE_LINES)
+        lines[1] = "[1, 2]\n"
+        with pytest.raises(TraceFormatError, match="line 2"):
+            read_trace(io.StringIO("".join(lines)))
+
+    def test_missing_result(self):
+        with pytest.raises(TraceFormatError):
+            read_trace(io.StringIO("".join(TRACE_LINES[:-1])))
+
+    @given(st.data())
+    def test_any_line_mutation_returns_or_raises_value_error(self, data):
+        lines = list(TRACE_LINES)
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        rec = json.loads(lines[i])
+        mutation = data.draw(st.sampled_from(
+            ("drop_field", "retype_field", "truncate", "replace", "delete", "json_value")))
+        if mutation == "drop_field":
+            del rec[data.draw(st.sampled_from(sorted(rec)))]
+            lines[i] = json.dumps(rec) + "\n"
+        elif mutation == "retype_field":
+            key = data.draw(st.sampled_from(sorted(rec)))
+            rec[key] = data.draw(st.none() | st.text(max_size=5) | st.lists(st.integers()))
+            lines[i] = json.dumps(rec) + "\n"
+        elif mutation == "truncate":
+            lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 1))]
+        elif mutation == "replace":
+            lines[i] = data.draw(st.text(max_size=40)) + "\n"
+        elif mutation == "delete":
+            del lines[i]
+        else:
+            lines[i] = json.dumps(data.draw(st.recursive(
+                st.none() | st.booleans() | st.integers() | st.text(max_size=5),
+                lambda inner: st.lists(inner, max_size=3)
+                | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+                max_leaves=8))) + "\n"
+        try:
+            read_trace(io.StringIO("".join(lines)))
+        except ValueError:
+            pass
