@@ -21,7 +21,6 @@ from .graphs import (
     generate_random_connected,
     generate_ring,
     graph_from_text,
-    graph_to_text,
     horizontal_distance,
     load_graph,
     save_graph,
@@ -71,6 +70,7 @@ from .adversary import (
     choose_ports,
     class_string,
     extract_port_sequence,
+    extract_port_sequences,
     find_label_pair,
     guaranteed_horizon,
     hamiltonian_cycles,

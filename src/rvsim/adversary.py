@@ -2,26 +2,27 @@
 
 Against any deterministic program factory, the pipeline here builds a
 clique-ring graph and a pair of labels that provably freeze the inter-agent
-distance: record each label's port choices in a port-indistinguishable world,
-pick the two port pairs the programs use most rarely, reserve those pairs for
-the bridge edges between adjacent cliques, and select two labels whose
-forward/backward/stay patterns agree on a long prefix. While the patterns
-agree the two agents shift columns in unison, so every distance reading is
-useless. Also hosts the spine-last caterpillar renumbering that makes
-ascending port probes pay full price per forward step.
+distance: record each label's port choices in a port-indistinguishable world
+(for the rendezvous strategy over the trie of its label reads, so labels that
+share a prefix share its simulation), pick the two port pairs the programs use
+most rarely, reserve those pairs for the bridge edges between adjacent
+cliques, and select two labels whose forward/backward/stay patterns agree on a
+long prefix. While the patterns agree the two agents shift columns in unison,
+so every distance reading is useless. Also hosts the spine-last caterpillar
+renumbering that makes ascending port probes pay full price per forward step.
 """
 
 from __future__ import annotations
 
-import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .agents import AgentProgram, Observation, ceil_log2, rendezvous_program
-from .graphs import (CaterpillarGraph, InvalidParamsError, PortGraph,
-                     _caterpillar_edges, _check_butterfly_params, build,
-                     butterfly_index, generate_caterpillar)
+from .agents import (AgentProgram, Observation, ceil_log2, extended_bit,
+                     rendezvous_program)
+from .graphs import (InvalidParamsError, PortGraph, _caterpillar_edges,
+                     _check_butterfly_params, build, butterfly_index)
 from .oracle import DistanceOracle
 from .sim import SimConfig, run
 
@@ -49,34 +50,81 @@ class PortSequence:
     ports: bytes
 
 
-def extract_port_sequence(make_program: ProgramFactory, label: int, degree: int,
-                          frozen_distance: int, horizon: int) -> PortSequence:
-    """Record a program's first ``horizon`` exit ports in a virtual world
-    where every node has ``degree`` ports paired as q <-> degree+1-q and the
-    distance reading never moves off ``frozen_distance``."""
+def _frozen_world(degree: int, frozen_distance: int, horizon: int):
+    """Check the extraction parameters and return the first observation and
+    ``record(out, port)``, which appends the port to ``out`` (out-of-range
+    ports as 0) and returns the observation the next round starts with."""
     if degree % 2 != 0:
         raise InvalidParamsError("paired port numbering needs an even degree")
     if degree > 255:
         raise InvalidParamsError("extraction stores ports as bytes; degree must be <= 255")
     if horizon < 1:
         raise InvalidParamsError("horizon must be >= 1")
-    obs_by_arrival = tuple(
-        Observation(degree, a, frozen_distance) for a in range(degree + 1))
-    prog = make_program(label)
-    step = prog.step
-    stay_obs = obs_by_arrival[0]
     comp = degree + 1
-    obs = stay_obs
-    out = bytearray()
-    for _ in range(horizon):
-        x = step(obs)
+    obs_by_arrival = tuple(Observation(degree, a, frozen_distance) for a in range(comp))
+    stay_obs = obs_by_arrival[0]
+
+    def record(out: bytearray, x: int) -> Observation:
         if 1 <= x <= degree:
             out.append(x)
-            obs = obs_by_arrival[comp - x]
-        else:
-            out.append(0)
-            obs = stay_obs
+            return obs_by_arrival[comp - x]
+        out.append(0)
+        return stay_obs
+
+    return stay_obs, record
+
+
+def extract_port_sequence(make_program: ProgramFactory, label: int, degree: int,
+                          frozen_distance: int, horizon: int) -> PortSequence:
+    """Record a program's first ``horizon`` exit ports in a virtual world
+    where every node has ``degree`` ports paired as q <-> degree+1-q and the
+    distance reading never moves off ``frozen_distance``.
+
+    Runs ``make_program(label)`` as a black box: the path for factories whose
+    programs cannot fork, and the reference for ``extract_port_sequences``."""
+    obs, record = _frozen_world(degree, frozen_distance, horizon)
+    step = make_program(label).step
+    out = bytearray()
+    for _ in range(horizon):
+        obs = record(out, step(obs))
     return PortSequence(label, bytes(out))
+
+
+def extract_port_sequences(labels: Sequence[int], degree: int, frozen_distance: int,
+                           horizon: int) -> list[PortSequence]:
+    """``extract_port_sequence(rendezvous_program, label, ...)`` for every
+    label at once, in the order given, by walking the trie of label reads.
+
+    One unlabelled rendezvous program is stepped through the frozen world.
+    Where it asks for extended bit ``j``, the labels still on its path are
+    split by that bit (0, 1 or past the end) and the program is forked once
+    per part, so every shared prefix is stepped once. Labels that end in the
+    same leaf share one ``ports`` bytes object.
+    """
+    start, record = _frozen_world(degree, frozen_distance, horizon)
+    sequences: list[PortSequence | None] = [None] * len(labels)
+    # (program, ports so far, indices of the labels on this path, next observation)
+    stack = [(rendezvous_program(None), bytearray(), range(len(labels)), start)]
+    while stack:
+        prog, out, members, obs = stack.pop()
+        while len(out) < horizon:
+            port = prog.step(obs)
+            j = prog.pending_bit
+            if j:
+                parts: dict[int | None, list[int]] = {}
+                for m in members:
+                    parts.setdefault(extended_bit(labels[m], j), []).append(m)
+                for bit, part in parts.items():
+                    child, child_out = prog.fork(), bytearray(out)
+                    stack.append((child, child_out, part,
+                                  record(child_out, child.supply_bit(bit))))
+                break
+            obs = record(out, port)
+        else:
+            ports = bytes(out)
+            for m in members:
+                sequences[m] = PortSequence(labels[m], ports)
+    return sequences
 
 
 def choose_ports(sequences: Sequence[PortSequence], degree: int) -> tuple[int, int, list[int]]:
@@ -97,17 +145,18 @@ def choose_ports(sequences: Sequence[PortSequence], degree: int) -> tuple[int, i
     if any(len(s.ports) != t for s in sequences):
         raise InvalidParamsError("sequences must share one horizon")
 
+    # each distinct sequence is counted once, weighted by its multiplicity
+    multiplicity = Counter(seq.ports for seq in sequences)
     totals = [0] * (half + 1)
-    for seq in sequences:
-        ports = seq.ports
+    for ports, m in multiplicity.items():
         for p in range(1, half + 1):
-            totals[p] += ports.count(p) + ports.count(degree + 1 - p)
+            totals[p] += m * (ports.count(p) + ports.count(degree + 1 - p))
     ranked = sorted(range(1, half + 1), key=lambda p: (totals[p], p))
     p1, p2 = sorted(ranked[:2])
 
     special = (p1, p2, degree + 1 - p1, degree + 1 - p2)
-    survivors = [seq.label for seq in sequences
-                 if degree * sum(seq.ports.count(x) for x in special) <= 8 * t]
+    touches = {ports: sum(ports.count(x) for x in special) for ports in multiplicity}
+    survivors = [seq.label for seq in sequences if degree * touches[seq.ports] <= 8 * t]
     if 2 * len(survivors) < len(sequences):
         raise RuntimeError("averaging bound broken: fewer than half the labels survive")
     return p1, p2, survivors
@@ -229,20 +278,29 @@ class AdversaryInstance:
     sampled: bool
 
 
-def guaranteed_horizon(degree: int, label_space: int) -> int:
-    """Largest ``j`` with ``degree**(2j) <= label_space``, times ``degree // 8``;
-    integer arithmetic, so exact powers are not rounded down."""
+def _whole_blocks(degree: int, label_space: int) -> int:
+    """Largest ``j`` with ``degree**(2j) <= label_space``, in integers, so
+    exact powers are not rounded down."""
     if degree < 2:
         raise InvalidParamsError(f"degree must be at least 2, got {degree}")
     blocks = 0
     while degree ** (2 * (blocks + 1)) <= label_space:
         blocks += 1
-    return blocks * (degree // 8)
+    return blocks
+
+
+def guaranteed_horizon(degree: int, label_space: int) -> int:
+    """Largest ``j`` with ``degree**(2j) <= label_space``, times ``degree // 8``."""
+    return _whole_blocks(degree, label_space) * (degree // 8)
 
 
 def default_extraction_horizon(degree: int, label_space: int) -> int:
-    blocks = math.ceil(math.log2(label_space) / (2 * math.log2(degree)))
-    return blocks * math.ceil(degree / 8) + 8 * degree
+    """Least ``b`` with ``degree**(2b) >= label_space``, times
+    ``ceil(degree / 8)``, plus one degree-bounding call's ``8 * degree``."""
+    blocks = _whole_blocks(degree, label_space)
+    if degree ** (2 * blocks) < label_space:
+        blocks += 1
+    return blocks * ((degree + 7) // 8) + 8 * degree
 
 
 EXPLICIT_LABEL_CAP = 2 ** 20
@@ -254,6 +312,9 @@ def build_instance(make_program: ProgramFactory, degree: int, label_space: int,
                    seed: int = 0, horizon: int | None = None) -> AdversaryInstance:
     """Full pipeline: extract every label's port sequence, reserve the rare
     port pairs, pick the longest-agreeing label pair, and number the graph.
+
+    The rendezvous strategy is extracted over its label trie
+    (``extract_port_sequences``); any other factory runs once per label.
 
     Label spaces above 2**20 are sampled (``sample_size`` labels drawn
     deterministically from ``seed``; default 1024). Pass ``sample_size``
@@ -283,8 +344,11 @@ def build_instance(make_program: ProgramFactory, degree: int, label_space: int,
         labels = list(range(label_space))
 
     t = horizon if horizon is not None else default_extraction_horizon(degree, label_space)
-    sequences = [extract_port_sequence(make_program, lab, degree, distance, t)
-                 for lab in labels]
+    if make_program is rendezvous_program:
+        sequences = extract_port_sequences(labels, degree, distance, t)
+    else:
+        sequences = [extract_port_sequence(make_program, lab, degree, distance, t)
+                     for lab in labels]
     p1, p2, survivors = choose_ports(sequences, degree)
     survivor_set = set(survivors)
     surviving = [s for s in sequences if s.label in survivor_set]
@@ -348,8 +412,3 @@ def renumber_caterpillar(graph: PortGraph, spine: Sequence[int],
                         if graph.neighbor(s, p)[0] not in spine_set]
     edges = _caterpillar_edges(tuple(spine), leaves_of, policy, seed)
     return build(graph.num_nodes, edges)
-
-
-def adversarial_caterpillar(spine_length: int, degree: int) -> CaterpillarGraph:
-    """Convenience: caterpillar already carrying the adversarial numbering."""
-    return generate_caterpillar(spine_length, degree, policy="adversarial")

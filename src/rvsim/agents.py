@@ -1,11 +1,11 @@
 """Deterministic rendezvous programs for two distance-aware agents.
 
-A program is a resumable transducer: the engine feeds it one Observation per
-round and gets back the port to take (0, or anything outside 1..degree, means
-stay put this round). Control flow between rounds is free; only moves consume
-rounds. Programs may compare consecutive distance readings but never see node
-identities, so the same code runs under exact readings and under
-increase/decrease/same readings alike.
+A program is a state machine with explicit, copyable state: the engine feeds
+it one Observation per round and gets back the port to take (0, or anything
+outside 1..degree, means stay put this round). Control flow between rounds is
+free; only moves consume rounds. Programs may compare consecutive distance
+readings but never see node identities, so the same code runs under exact
+readings and under increase/decrease/same readings alike.
 
 The rendezvous strategy, built from three sub-machines:
 
@@ -26,6 +26,7 @@ to pick a single mover, then lets the mover close the remaining distance.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 from .oracle import DistanceDelta
@@ -78,18 +79,21 @@ class ExtendedLabel:
         return self.bits[j - 1] if 1 <= j <= len(self.bits) else 0
 
 
+def extended_bit(label: int, j: int) -> int | None:
+    """Bit ``j`` (1-based) of the label's extended label, or None past its end:
+    source bits (most significant first) at odd positions, the terminating 1
+    at position 2k, zeros at the other even positions."""
+    k = label.bit_length() or 1
+    if j > 2 * k:
+        return None
+    if j % 2:
+        return (label >> (k - (j + 1) // 2)) & 1
+    return 1 if j == 2 * k else 0
+
+
 def extend_label(label: int) -> ExtendedLabel:
     k = label_bit_length(label)
-    src = [(label >> (k - i)) & 1 for i in range(1, k + 1)]  # MSB first
-    bits = []
-    for j in range(1, 2 * k + 1):
-        if j == 2 * k:
-            bits.append(1)  # terminating bit
-        elif j % 2 == 1:
-            bits.append(src[(j + 1) // 2 - 1])
-        else:
-            bits.append(0)
-    return ExtendedLabel(label, tuple(bits))
+    return ExtendedLabel(label, tuple(extended_bit(label, j) for j in range(1, 2 * k + 1)))
 
 
 def distinguishing_index(e1: ExtendedLabel, e2: ExtendedLabel) -> int:
@@ -119,7 +123,7 @@ def degree_class(d: int) -> int:
 
 
 # ----------------------------------------------------------------------------
-# program plumbing
+# the strategy as one explicit state machine
 # ----------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -132,184 +136,275 @@ class ProcEvent:
     info: tuple
 
 
-class _Ctx:
-    __slots__ = ("round", "events")
+# What the next observation answers (AgentProgram._stage).
+_START = 0  # the first observation starts the outermost sub-machine
+_TRY = 1    # the sweep just tried port i
+_BACK = 2   # the sweep just retraced a try that did not get closer
+_READ = 3   # paused on a label read; only unlabelled programs, see supply_bit
+_CONST = 4  # a stub that answers the same port every round
+_DONE = 5   # a stand-alone sub-machine returned; idle from now on
 
-    def __init__(self, record_events: bool):
-        self.round = 0
-        self.events: list[ProcEvent] | None = [] if record_events else None
-
-    def log(self, proc: str, kind: str, *info) -> None:
-        if self.events is not None:
-            self.events.append(ProcEvent(self.round, proc, kind, info))
+# What happens when the current degree-bounding call returns (AgentProgram._phase).
+_FIRST = 0          # strategy: bound again while it succeeds
+_COMPARE = 1        # strategy: walking the extended label's bits
+_FINAL = 2          # strategy: bound forever with the bit the comparison chose
+_PROBE_ONLY = 3     # stand-alone sub-machines: return when that machine does
+_BOUND_ONLY = 4
+_COMPARE_ONLY = 5
 
 
 class AgentProgram:
-    """Wraps a generator routine into the one-observation-in, one-port-out
-    contract. Single-use: once the routine returns, the agent idles forever
-    and the routine's return value is kept in ``result``."""
+    """One agent as an explicit, copyable state machine.
 
-    def __init__(self, routine_factory, record_events: bool = False):
-        self._ctx = _Ctx(record_events)
-        self._routine = routine_factory(self._ctx)
-        self._done = False
+    ``step`` takes one Observation and returns the port to take. All control
+    flow between rounds happens inside one step; only moves consume rounds.
+    The state is the strategy's phase, the current sweep (size ``delta``,
+    liveness ``live``, port index ``i``, the observation before its last
+    try), the degree-bounding call around it (flag ``b``, sweep ``level``,
+    ``top`` level) and the extended-label position ``j`` read last.
+
+    The label is read in one transition only: starting bit ``j`` of the label
+    comparison asks for extended position ``j`` and gets 0, 1 or None (past
+    the end). A program built without a label pauses there: ``pending_bit``
+    names ``j`` and ``supply_bit`` finishes the paused step. ``fork`` copies
+    the state, so extraction over many labels steps each shared prefix once.
+
+    Stand-alone sub-machine programs idle once their machine returns and keep
+    its return value in ``result``. Build programs with ``rendezvous_program``
+    or the sub-machine and stub factories below.
+    """
+
+    __slots__ = ("_stage", "_phase", "_label", "_round", "_events", "result",
+                 "_delta", "_live", "_i", "_before", "_b", "_level", "_top", "_j",
+                 "_port")
+
+    def __init__(self, phase: int, label: int | None = None, record_events: bool = False):
+        if label is not None and label < 0:
+            raise ValueError("labels are non-negative")
+        self._stage = _START
+        self._phase = phase
+        self._label = label
+        self._round = 0
+        self._events: list[ProcEvent] | None = [] if record_events else None
         self.result = None
-        next(self._routine)  # advance to the first-observation handshake
+        self._delta = self._live = self._i = self._b = 0
+        self._level = self._top = self._j = self._port = 0
+        # before the sweep's last try; while paused, the observation to resume from
+        self._before: Observation | None = None
 
     @property
     def events(self) -> list[ProcEvent] | None:
-        return self._ctx.events
+        return self._events
 
     @property
     def rounds_seen(self) -> int:
-        return self._ctx.round
+        return self._round
+
+    @property
+    def pending_bit(self) -> int:
+        """Extended-label position a paused program waits for, else 0."""
+        return self._j if self._stage == _READ else 0
+
+    def fork(self) -> AgentProgram:
+        """An independent copy of the whole state, events included."""
+        twin = copy.copy(self)
+        if self._events is not None:
+            twin._events = list(self._events)
+        return twin
 
     def step(self, obs: Observation) -> Action:
-        if self._done:
+        stage = self._stage
+        if stage == _BACK:
+            i = self._i + 1
+            if i <= self._delta:
+                self._i = i
+                self._before = obs
+                self._stage = _TRY
+                port = i * self._live
+            else:
+                port = self._probe_done(False, obs)
+        elif stage == _TRY:
+            # One round separates the two readings, so under delta readings
+            # the strict comparison collapses to "the last round decreased".
+            reading = obs.distance_reading
+            if (reading is DistanceDelta.DECREASED if isinstance(reading, DistanceDelta)
+                    else reading < self._before.distance_reading):
+                port = self._probe_done(True, obs)
+            else:
+                self._stage = _BACK
+                port = obs.arrival_port * self._live  # retrace the same edge
+        elif stage == _START:
+            port = self._start(obs)
+        elif stage == _CONST:
+            port = self._port
+        elif stage == _DONE:
             return 0
-        try:
-            port = self._routine.send(obs)
-        except StopIteration as stop:
-            self._done = True
-            self.result = stop.value
+        else:
+            raise RuntimeError(f"label bit {self._j} was never supplied")
+        if port is None:  # returned or paused: no move this step
             return 0
-        self._ctx.round += 1
+        self._round += 1
         return port
 
+    def supply_bit(self, bit: int | None) -> Action:
+        """Answer a paused label read (0, 1 or None past the end) and finish
+        the step it paused."""
+        if self._stage != _READ:
+            raise RuntimeError("no label read is pending")
+        port = self._read(bit, self._before)
+        if port is None:
+            return 0
+        self._round += 1
+        return port
 
-def _went_closer(before: Observation, after: Observation) -> bool:
-    # One round separates the two readings, so under delta readings the
-    # strict comparison collapses to "the last round decreased".
-    reading = after.distance_reading
-    if isinstance(reading, DistanceDelta):
-        return reading is DistanceDelta.DECREASED
-    return reading < before.distance_reading
+    # -- transitions; each returns the port to emit, or None ----------------
+
+    def _log(self, proc: str, kind: str, *info) -> None:
+        if self._events is not None:
+            self._events.append(ProcEvent(self._round, proc, kind, info))
+
+    def _start(self, obs: Observation) -> Action | None:
+        phase = self._phase
+        if phase == _PROBE_ONLY:
+            return self._probe(self._delta, self._live, obs)
+        if phase == _COMPARE_ONLY:
+            return self._compare(obs)
+        return self._bound(self._b, obs)
+
+    def _probe(self, delta: int, live: int, obs: Observation) -> Action | None:
+        """Port sweep: try ports 1..delta (times ``live``), undoing every try
+        that did not get closer. Success on the first round whose post-move
+        distance is strictly below its pre-move distance, staying at the
+        post-move node; else failure after exactly 2*delta rounds. With
+        live=0 every move is a stay, so the sweep only watches for the peer."""
+        self._log("probe_ports", "enter", delta, live)
+        if delta < 1:
+            return self._probe_done(False, obs)
+        self._delta, self._live, self._i, self._before = delta, live, 1, obs
+        self._stage = _TRY
+        return live
+
+    def _probe_done(self, s: bool, obs: Observation) -> Action | None:
+        self._log("probe_ports", "exit", s)
+        if self._phase == _PROBE_ONLY:
+            return self._finish(s)
+        level = self._level
+        if s or level == self._top:
+            self._log("bound_degrees", "exit", s)
+            return self._bound_done(s, obs)
+        level += 1
+        self._level = level
+        return self._probe(1 << level, self._b if level == self._top else 0, obs)
+
+    def _bound(self, b: int, obs: Observation) -> Action | None:
+        """Degree bounding: idle sweeps of sizes 1, 2, .., then one sweep of
+        liveness ``b`` past the local degree.
+
+        Two agents entering this in the same round keep identical phase timing
+        while neither succeeds; a joint failure therefore certifies their
+        degrees share a dyadic bucket, and opposite b values at same-bucket
+        nodes force a joint success (the mover covers all its ports while the
+        peer holds still). Full-failure duration is 2**(ceil_log2(deg)+2) - 2
+        rounds.
+        """
+        top = ceil_log2(obs.degree)
+        self._log("bound_degrees", "enter", b, obs.degree)
+        self._b, self._top, self._level = b, top, 0
+        return self._probe(1, b if top == 0 else 0, obs)
+
+    def _bound_done(self, s: bool, obs: Observation) -> Action | None:
+        phase = self._phase
+        if phase == _FIRST:
+            if s:
+                return self._bound(1, obs)
+            self._phase = _COMPARE
+            return self._compare(obs)
+        if phase == _FINAL:
+            return self._bound(self._b, obs)
+        if phase == _BOUND_ONLY:
+            return self._finish(s)
+        if s:  # comparing labels: bit j produced the first success
+            self._log("compare_labels", "exit", self._b, self._j)
+            return self._compare_done(self._b, obs)
+        return self._next_bit(obs)
+
+    def _compare(self, obs: Observation) -> Action | None:
+        """Label comparison: degree-bound with each extended-label bit as the
+        liveness flag and return the bit that first produced a success.
+
+        When both agents run this side by side from a joint failure, rounds
+        stay aligned and the first success lands exactly at the distinguishing
+        bit position, handing the two agents opposite bits in the same round.
+        If nothing ever succeeds (no peer, or a frozen distance), fall through
+        to 1 so the caller still gets a total answer.
+        """
+        self._log("compare_labels", "enter")
+        self._j = 0
+        return self._next_bit(obs)
+
+    def _next_bit(self, obs: Observation) -> Action | None:
+        self._j += 1
+        if self._label is None:
+            self._before = obs
+            self._stage = _READ
+            return None
+        return self._read(extended_bit(self._label, self._j), obs)
+
+    def _read(self, bit: int | None, obs: Observation) -> Action | None:
+        if bit is None:
+            self._log("compare_labels", "exit", 1, None)
+            return self._compare_done(1, obs)
+        return self._bound(bit, obs)
+
+    def _compare_done(self, bit: int, obs: Observation) -> Action | None:
+        if self._phase == _COMPARE_ONLY:
+            return self._finish(bit)
+        self._phase = _FINAL
+        return self._bound(bit, obs)
+
+    def _finish(self, result) -> None:
+        self._stage = _DONE
+        self.result = result
+        return None
+
+
+def rendezvous_program(label: int | None, record_events: bool = False) -> AgentProgram:
+    """The full strategy for one agent; runs until the engine halts it.
+    ``label=None`` gives the unlabelled program that trie extraction forks."""
+    prog = AgentProgram(_FIRST, label, record_events)
+    prog._b = 1
+    return prog
 
 
 # ----------------------------------------------------------------------------
-# sub-machines. Each is a generator yielding one port per round and returning
-# (outcome, latest_observation) so callers can chain without losing a round.
+# stand-alone sub-machines and simple stubs (test harness fodder; the
+# sub-machines idle forever after returning, with the outcome in .result)
 # ----------------------------------------------------------------------------
-
-def _probe_ports(delta: int, b: int, obs: Observation, ctx: _Ctx):
-    """Try ports 1..delta (times b), undoing non-improving moves.
-
-    Success on the first round whose post-move distance is strictly below its
-    pre-move distance, staying at the post-move node; else failure after
-    exactly 2*delta rounds. With b=0 every move is a stay, so the sweep only
-    watches for the peer to close in.
-    """
-    ctx.log("probe_ports", "enter", delta, b)
-    for i in range(1, delta + 1):
-        before = obs
-        obs = yield i * b
-        if _went_closer(before, obs):
-            ctx.log("probe_ports", "exit", True)
-            return True, obs
-        obs = yield obs.arrival_port * b  # retrace the same edge
-    ctx.log("probe_ports", "exit", False)
-    return False, obs
-
-
-def _bound_degrees(b: int, obs: Observation, ctx: _Ctx):
-    """Idle sweeps of sizes 1, 2, .., then one live sweep past the local degree.
-
-    Two agents entering this in the same round keep identical phase timing
-    while neither succeeds; a joint failure therefore certifies their degrees
-    share a dyadic bucket, and opposite b values at same-bucket nodes force a
-    joint success (the mover covers all its ports while the peer holds still).
-    Full-failure duration is 2**(ceil_log2(deg)+2) - 2 rounds.
-    """
-    top = ceil_log2(obs.degree)
-    ctx.log("bound_degrees", "enter", b, obs.degree)
-    for level in range(top):
-        s, obs = yield from _probe_ports(2 ** level, 0, obs, ctx)
-        if s:
-            ctx.log("bound_degrees", "exit", True)
-            return True, obs
-    s, obs = yield from _probe_ports(2 ** top, b, obs, ctx)
-    ctx.log("bound_degrees", "exit", s)
-    return s, obs
-
-
-def _compare_labels(ext: ExtendedLabel, obs: Observation, ctx: _Ctx):
-    """Walk the extended label's bits, degree-bounding with each bit as the
-    liveness flag; return the bit that first produced a success.
-
-    When both agents run this side by side from a joint failure, rounds stay
-    aligned and the first success lands exactly at the distinguishing bit
-    position, handing the two agents opposite return values in the same round.
-    If nothing ever succeeds (no peer, or a frozen distance), fall through to
-    1 so the caller still gets a total answer.
-    """
-    ctx.log("compare_labels", "enter")
-    for i in range(1, ext.length + 1):
-        bit = ext.bit(i)
-        s, obs = yield from _bound_degrees(bit, obs, ctx)
-        if s:
-            ctx.log("compare_labels", "exit", bit, i)
-            return bit, obs
-    ctx.log("compare_labels", "exit", 1, None)
-    return 1, obs
-
-
-def _rendezvous_routine(label: int, ctx: _Ctx):
-    obs = yield  # first observation of round 0
-    s = True
-    while s:
-        s, obs = yield from _bound_degrees(1, obs, ctx)
-    bit, obs = yield from _compare_labels(extend_label(label), obs, ctx)
-    while True:
-        _, obs = yield from _bound_degrees(bit, obs, ctx)
-
-
-def rendezvous_program(label: int, record_events: bool = False) -> AgentProgram:
-    """The full strategy for one agent; runs until the engine halts it."""
-    if label < 0:
-        raise ValueError("labels are non-negative")
-    return AgentProgram(lambda ctx: _rendezvous_routine(label, ctx), record_events)
-
-
-# ----------------------------------------------------------------------------
-# stand-alone wrappers for the sub-machines and simple stubs (test harness
-# fodder; they idle forever after returning, with the outcome in .result)
-# ----------------------------------------------------------------------------
-
-def _submachine(body):
-    def factory(ctx):
-        def routine():
-            obs = yield
-            outcome, _ = yield from body(obs, ctx)
-            return outcome
-        return routine()
-    return AgentProgram(factory, record_events=True)
-
 
 def probe_ports_program(delta: int, b: int) -> AgentProgram:
-    return _submachine(lambda obs, ctx: _probe_ports(delta, b, obs, ctx))
+    prog = AgentProgram(_PROBE_ONLY, record_events=True)
+    prog._delta, prog._live = delta, b
+    return prog
 
 
 def bound_degrees_program(b: int) -> AgentProgram:
-    return _submachine(lambda obs, ctx: _bound_degrees(b, obs, ctx))
+    prog = AgentProgram(_BOUND_ONLY, record_events=True)
+    prog._b = b
+    return prog
 
 
 def compare_labels_program(label: int) -> AgentProgram:
-    return _submachine(lambda obs, ctx: _compare_labels(extend_label(label), obs, ctx))
+    return AgentProgram(_COMPARE_ONLY, label, record_events=True)
 
 
 def constant_program(port: int) -> AgentProgram:
-    def factory(ctx):
-        def routine():
-            _ = yield
-            while True:
-                _ = yield port
-        return routine()
-    return AgentProgram(factory)
+    prog = AgentProgram(_FIRST)
+    prog._stage, prog._port = _CONST, port
+    return prog
 
 
 def idle_program() -> AgentProgram:
     return constant_program(0)
-
 
 # ----------------------------------------------------------------------------
 # round-count bounds

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
@@ -173,10 +174,6 @@ def _bfs_component(g: PortGraph, source: int) -> set[int]:
 # text round-trips bit-exactly.
 # ----------------------------------------------------------------------------
 
-def graph_to_text(g: PortGraph) -> str:
-    return g.to_text()
-
-
 def graph_from_text(text: str) -> PortGraph:
     lines = text.splitlines()
     if not lines:
@@ -188,6 +185,8 @@ def graph_from_text(text: str) -> PortGraph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise GraphFormatError("non-integer header", line=1) from None
+    if n > m + 1:  # checked before build allocates per-node state for n
+        raise GraphFormatError(f"{n} nodes cannot be connected by {m} edges", line=1)
     edges = []
     body = [ln for ln in lines[1:]]
     # allow (and ignore) trailing blank lines only
@@ -414,10 +413,17 @@ def generate_random_connected(size: int, max_degree: int, seed: int) -> PortGrap
         deg[v] += 1
 
     # random spanning tree under the degree cap; a tree always has a node of
-    # degree < 2, so candidates are never empty while max_degree >= 2
+    # degree < 2, so open_nodes is never empty while max_degree >= 2. It holds
+    # the nodes below v with spare degree in ascending order, exactly what a
+    # scan of 0..v-1 would list, so rng.choice and the graph for a seed are
+    # the same as with that scan.
+    open_nodes = [0]
     for v in range(1, size):
-        candidates = [u for u in range(v) if deg[u] < max_degree]
-        add(rng.choice(candidates), v)
+        u = rng.choice(open_nodes)
+        add(u, v)
+        if deg[u] >= max_degree:
+            del open_nodes[bisect_left(open_nodes, u)]
+        open_nodes.append(v)
     # sprinkle extra edges where capacity remains
     for _ in range(size):
         u = rng.randrange(size)

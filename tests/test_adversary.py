@@ -1,4 +1,5 @@
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +18,7 @@ from rvsim import (
     choose_ports,
     constant_program,
     extract_port_sequence,
+    extract_port_sequences,
     find_label_pair,
     generate_caterpillar,
     guaranteed_horizon,
@@ -28,6 +30,7 @@ from rvsim import (
     run,
     verify_frozen_distance,
 )
+from rvsim.adversary import default_extraction_horizon
 
 
 class TestExtraction:
@@ -52,6 +55,26 @@ class TestExtraction:
     def test_odd_degree_rejected(self):
         with pytest.raises(InvalidParamsError):
             extract_port_sequence(rendezvous_program, 0, 7, 3, 10)
+        with pytest.raises(InvalidParamsError):
+            extract_port_sequences([0, 1], 7, 3, 10)
+
+    @pytest.mark.parametrize("degree,labels,horizon", [
+        (6, range(2 ** 10), 1200),
+        (8, range(2 ** 10), default_extraction_horizon(8, 2 ** 10)),
+        (16, [random.Random(3 + i).getrandbits(64) for i in range(256)], 1000),
+    ], ids=["deg6-long", "deg8-default", "deg16-sampled"])
+    def test_trie_walk_matches_black_box(self, degree, labels, horizon):
+        batch = extract_port_sequences(labels, degree, 3, horizon)
+        assert [s.label for s in batch] == list(labels)
+        for seq in batch:
+            assert seq == extract_port_sequence(rendezvous_program, seq.label, degree, 3,
+                                                horizon)
+        if horizon >= 1000:  # many labels diverge
+            assert len({s.ports for s in batch}) >= 100
+        else:
+            # within 66 rounds only extended bits 1 and 2 are read, so at most
+            # four leaves, and labels in one leaf share one bytes object
+            assert len({id(s.ports) for s in batch}) <= 4
 
 
 class TestChoosePorts:
@@ -86,6 +109,25 @@ class TestChoosePorts:
             if s.label in survivors:
                 own = sum(1 for x in s.ports if x in special)
                 assert own * degree <= 8 * t
+
+
+    @given(st.lists(st.binary(min_size=6, max_size=6), min_size=1, max_size=4),
+           st.lists(st.integers(0, 3), min_size=2, max_size=30))
+    def test_repeated_sequences_count_per_label(self, shapes, picks):
+        # labels may share one ports object or hold equal copies; choose_ports
+        # must count every label, as a per-label scan does
+        degree = 8
+        shapes = [bytes(b % (degree + 1) for b in shape) for shape in shapes]
+        seqs = [PortSequence(lab, shapes[k % len(shapes)] if lab % 2
+                             else bytes(bytearray(shapes[k % len(shapes)])))
+                for lab, k in enumerate(picks)]
+        totals = {p: sum(s.ports.count(p) + s.ports.count(degree + 1 - p) for s in seqs)
+                  for p in range(1, degree // 2 + 1)}
+        p1, p2 = sorted(sorted(totals, key=lambda p: (totals[p], p))[:2])
+        special = (p1, p2, degree + 1 - p1, degree + 1 - p2)
+        survivors = [s.label for s in seqs
+                     if degree * sum(s.ports.count(x) for x in special) <= 8 * 6]
+        assert choose_ports(seqs, degree) == (p1, p2, survivors)
 
 
 class TestFindLabelPair:
@@ -205,6 +247,22 @@ class TestBuildInstance:
         # exact powers, where a float log2 ratio rounds one block low
         assert guaranteed_horizon(20, 20 ** 6) == 3 * 2 == 6
         assert guaranteed_horizon(14, 14 ** 10) == 5 * 1 == 5
+
+    @pytest.mark.parametrize("degree,space,want", [
+        (8, 2 ** 14, 67), (8, 2 ** 20, 68), (16, 2 ** 64, 144), (6, 16, 49),
+        # exact powers, where a float log2 ratio rounds one block high
+        (6, 6 ** 14, 55), (12, 12 ** 10, 106),
+    ])
+    def test_default_extraction_horizon(self, degree, space, want):
+        assert default_extraction_horizon(degree, space) == want
+
+    def test_black_box_factory_builds_the_same_instance(self):
+        # build_instance walks the label trie for rendezvous_program and runs
+        # any other factory per label; both must agree
+        wrapped = lambda label: rendezvous_program(label)  # noqa: E731
+        for space, distance in ((16, 2), (2 ** 10, 2)):
+            assert (build_instance(wrapped, 6, space, distance)
+                    == build_instance(rendezvous_program, 6, space, distance))
 
     def test_sampled_big_label_space(self):
         inst = build_instance(rendezvous_program, degree=8, label_space=2 ** 40,

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -24,6 +26,7 @@ from rvsim import (
     run,
     probe_ports_program,
 )
+from rvsim.agents import Observation, extended_bit
 
 PATH3 = build(3, [(0, 1, 1, 1), (1, 2, 2, 1)])
 EDGE = build(2, [(0, 1, 1, 1)])
@@ -55,6 +58,11 @@ class TestExtendedLabels:
             return
         j = distinguishing_index(extend_label(l1), extend_label(l2))
         assert 1 <= j <= 2 * min(label_bit_length(l1), label_bit_length(l2))
+
+    @given(st.integers(0, 1 << 30), st.integers(1, 70))
+    def test_extended_bit_reads_the_extended_label(self, label, j):
+        ext = extend_label(label)
+        assert extended_bit(label, j) == (ext.bits[j - 1] if j <= ext.length else None)
 
     @given(st.integers(0, 1 << 30))
     def test_shape(self, label):
@@ -213,6 +221,63 @@ class TestRendezvousProgram:
                   SimConfig(round_cap=10 ** 5))
         assert res.outcome == MET
         assert res.rounds <= rendezvous_round_bound(4, 4, 2, 5)
+
+
+def _observations(seed, n):
+    """A random observation stream whose distance rarely drops, so the
+    strategy gets past its first loop and reads label bits."""
+    rng = random.Random(seed)
+    out, d = [], 9
+    for _ in range(n):
+        degree = rng.randint(1, 6)
+        if rng.random() < 0.02:
+            d -= 1
+        elif rng.random() < 0.05:
+            d += 1
+        out.append(Observation(degree, rng.randint(0, degree), d))
+    return out
+
+
+def _replay(label, stream):
+    prog = rendezvous_program(label, record_events=True)
+    return prog, [prog.step(obs) for obs in stream]
+
+
+class TestForkAndLabelReads:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_forks_step_independently(self, seed):
+        # forks fed different streams each act as a fresh program fed the
+        # whole stream; stepping one leaves the other and the original alone
+        prefix, tail_a, tail_b = (_observations(seed * 3 + k, 400) for k in range(3))
+        prog, _ = _replay(11, prefix)
+        a, b = prog.fork(), prog.fork()
+        outs_a = [a.step(obs) for obs in tail_a]
+        outs_b = [b.step(obs) for obs in tail_b]
+        for tail, forked, outs in ((tail_a, a, outs_a), (tail_b, b, outs_b)):
+            fresh, fresh_outs = _replay(11, prefix + tail)
+            assert fresh_outs[len(prefix):] == outs
+            assert fresh.events == forked.events
+            assert fresh.rounds_seen == forked.rounds_seen == len(prefix) + len(tail)
+        assert prog.rounds_seen == len(prefix)
+        assert len(prog.events) < len(a.events)
+
+    @pytest.mark.parametrize("label", [0, 1, 2, 5, 1000, 2 ** 40 + 3])
+    def test_unlabelled_program_pauses_on_each_label_read(self, label):
+        stream = _observations(label % 97, 3000)
+        ref, want = _replay(label, stream)
+        blank = rendezvous_program(None, record_events=True)
+        got, reads = [], []
+        for obs in stream:
+            port = blank.step(obs)
+            j = blank.pending_bit
+            if j:
+                assert port == 0
+                reads.append(j)
+                port = blank.supply_bit(extended_bit(label, j))
+            got.append(port)
+        assert got == want
+        assert blank.events == ref.events
+        assert reads == list(range(1, len(reads) + 1)) and reads
 
 
 def _paired_events(g, s1, s2, l1, l2, cap=5000):

@@ -1,8 +1,9 @@
 import csv
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rvsim import build, save_graph
+from rvsim import build, generate_ring, save_graph
 from rvsim.cli import main
 
 
@@ -184,3 +185,96 @@ class TestLowerbound:
     def test_even_clique_usage_error(self, capsys):
         assert main(["lowerbound", "--clique-size", "4", "--label-space", "16",
                      "--distance", "2"]) == 2
+
+
+def _not_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+_NOT_INT = st.text(max_size=8).filter(_not_int)
+_NOT_CHOICE = st.text(max_size=12).filter(
+    lambda s: s not in ("caterpillar", "butterfly", "ring", "random", "uniform",
+                        "adversarial", "exact", "delta"))
+
+# one valid command per family, and for each of its flags values that are
+# all invalid there; the fuzz test swaps one value in and expects exit 2
+_GENERATE = [
+    (["--family", "random", "--size", "12", "--max-degree", "4", "--seed", "3"],
+     {"--family": _NOT_CHOICE, "--size": st.integers(max_value=1) | _NOT_INT,
+      "--max-degree": st.integers(max_value=1) | _NOT_INT, "--seed": _NOT_INT}),
+    (["--family", "ring", "--size", "6", "--numbering", "random"],
+     {"--size": st.integers(max_value=2) | _NOT_INT, "--numbering": _NOT_CHOICE}),
+    (["--family", "caterpillar", "--spine-length", "2", "--degree", "3",
+      "--policy", "random"],
+     {"--spine-length": st.integers(max_value=0) | _NOT_INT,
+      "--degree": st.integers(max_value=1) | _NOT_INT, "--policy": _NOT_CHOICE}),
+    (["--family", "butterfly", "--clique-size", "3", "--columns", "4"],
+     {"--clique-size": st.integers(max_value=2) | st.integers(0, 10 ** 9).map(lambda x: 2 * x),
+      "--columns": st.integers(max_value=2) | _NOT_INT}),
+]
+_RUN = (["--start1", "0", "--start2", "3", "--label1", "0", "--label2", "1",
+         "--oracle-mode", "delta", "--round-cap", "500"],
+        {"--start1": st.integers(max_value=-1) | st.integers(min_value=6) | _NOT_INT,
+         "--start2": st.integers(max_value=-1) | st.integers(min_value=6) | _NOT_INT,
+         "--label1": st.integers(max_value=-1) | _NOT_INT,
+         "--label2": st.integers(max_value=-1) | _NOT_INT,
+         "--oracle-mode": _NOT_CHOICE,
+         "--round-cap": st.integers(max_value=-1) | _NOT_INT})
+
+
+def _swap(argv, flags, data):
+    """argv with the value after one flag replaced by a drawn bad value."""
+    flag = data.draw(st.sampled_from(sorted(flags)))
+    argv = list(argv)
+    argv[argv.index(flag) + 1] = str(data.draw(flags[flag]))
+    return argv
+
+
+def _exit_code(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the value
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    save_graph(generate_ring(6), str(path / "ring.txt"))
+    (path / "garbage.txt").write_text("6 6\n0 1 1\n")
+    return path
+
+
+class TestBadArgumentValues:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_generate_exits_2(self, fuzz_dir, capsys, data):
+        base, flags = data.draw(st.sampled_from(_GENERATE))
+        out = data.draw(st.sampled_from([fuzz_dir / "g.txt", fuzz_dir / "no" / "g.txt"]))
+        argv = ["generate"] + base + ["--out", str(out)]
+        if out.parent.exists():
+            argv = _swap(argv, flags, data)
+        code, stdout, stderr = _exit_code(argv, capsys)
+        assert code == 2, argv
+        assert stdout == "" and "Traceback" not in stderr
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_run_exits_2(self, fuzz_dir, capsys, data):
+        base, flags = _RUN
+        graph = data.draw(st.sampled_from(["ring.txt", "garbage.txt", "missing.txt", "."]))
+        trace = data.draw(st.sampled_from([[], ["--trace-out", str(fuzz_dir / "no" / "t")]]))
+        argv = ["run", "--graph", str(fuzz_dir / graph)] + base + trace
+        if graph == "ring.txt" and not trace:
+            argv = _swap(argv, flags, data)
+        code, stdout, stderr = _exit_code(argv, capsys)
+        assert code == 2, argv
+        assert stdout == "" and "Traceback" not in stderr

@@ -1,13 +1,17 @@
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rvsim import (
     DisconnectedError,
     DuplicatePortError,
+    GraphError,
     GraphFormatError,
     InfeasibleParamsError,
     InvalidParamsError,
     PortGapError,
+    PortGraph,
     bfs_distances,
     build,
     butterfly_coords,
@@ -18,9 +22,43 @@ from rvsim import (
     generate_random_connected,
     generate_ring,
     graph_from_text,
-    graph_to_text,
     horizontal_distance,
 )
+
+
+def _rescanning_random_connected(size, max_degree, seed):
+    """generate_random_connected as it was with a quadratic spanning-tree loop."""
+    rng = random.Random(seed)
+    deg = [0] * size
+    pair_set, edge_pairs = set(), []
+
+    def add(u, v):
+        pair_set.add((min(u, v), max(u, v)))
+        edge_pairs.append((u, v))
+        deg[u] += 1
+        deg[v] += 1
+
+    for v in range(1, size):
+        add(rng.choice([u for u in range(v) if deg[u] < max_degree]), v)
+    for _ in range(size):
+        u, v = rng.randrange(size), rng.randrange(size)
+        if u == v or deg[u] >= max_degree or deg[v] >= max_degree:
+            continue
+        if (min(u, v), max(u, v)) in pair_set:
+            continue
+        add(u, v)
+    incident = [[] for _ in range(size)]
+    for ei, (u, v) in enumerate(edge_pairs):
+        incident[u].append(ei)
+        incident[v].append(ei)
+    port_of_edge = [dict() for _ in range(size)]
+    for v in range(size):
+        order = list(incident[v])
+        rng.shuffle(order)
+        for port, ei in enumerate(order, start=1):
+            port_of_edge[v][ei] = port
+    return build(size, [(u, port_of_edge[u][ei], v, port_of_edge[v][ei])
+                        for ei, (u, v) in enumerate(edge_pairs)])
 
 
 def scan_ports_and_symmetry(g):
@@ -186,7 +224,7 @@ class TestRandomConnected:
         a = generate_random_connected(50, 8, seed=7)
         b = generate_random_connected(50, 8, seed=7)
         assert a == b
-        assert graph_to_text(a) == graph_to_text(b)
+        assert a.to_text() == b.to_text()
 
     def test_degree_cap_and_connected(self):
         g = generate_random_connected(50, 8, seed=7)
@@ -200,6 +238,15 @@ class TestRandomConnected:
         with pytest.raises(InfeasibleParamsError):
             generate_random_connected(5, 1, seed=0)
 
+    @pytest.mark.parametrize("n", [2, 3, 17, 200, 1000])
+    @pytest.mark.parametrize("cap", [2, 3, 5, 8])
+    def test_same_graph_as_the_rescanning_loop(self, n, cap):
+        # the spanning-tree loop once rebuilt its candidate list per node;
+        # the open-node list must hand rng.choice the same list every time
+        for seed in (0, 1, 7919):
+            assert (generate_random_connected(n, cap, seed).content_hash()
+                    == _rescanning_random_connected(n, cap, seed).content_hash())
+
     @given(st.integers(2, 40), st.integers(2, 9), st.integers(0, 10 ** 6))
     def test_generated_graphs_always_valid(self, n, cap, seed):
         g = generate_random_connected(n, cap, seed)
@@ -207,15 +254,44 @@ class TestRandomConnected:
         scan_ports_and_symmetry(g)
 
 
+_FIELDS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.integers(-10 ** 30, 10 ** 30).map(str),
+    st.sampled_from(["", "x", "1.5", "0x1", "-", "+2", "1_0", "٣", "\x00"]))
+
+
+@st.composite
+def _mutated_graph_text(draw):
+    """A valid small graph file with a few fields or lines changed."""
+    g = generate_random_connected(draw(st.integers(2, 8)), draw(st.integers(2, 4)),
+                                  draw(st.integers(0, 50)))
+    lines = [ln.split() for ln in g.to_text().splitlines()]
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(["set", "drop", "append", "drop_line", "dup_line"]))
+        if op == "set" and lines[i]:
+            lines[i][draw(st.integers(0, len(lines[i]) - 1))] = draw(_FIELDS)
+        elif op == "drop" and lines[i]:
+            lines[i].pop(draw(st.integers(0, len(lines[i]) - 1)))
+        elif op == "append":
+            lines[i].append(draw(_FIELDS))
+        elif op == "drop_line" and len(lines) > 1:
+            lines.pop(i)
+        elif op == "dup_line":
+            lines.insert(i, list(lines[i]))
+    tail = draw(st.sampled_from(["", "\n", "\n\n", "\n \n", "\r\n"]))
+    return "\n".join(" ".join(fields) for fields in lines) + tail
+
+
 class TestFileFormat:
     def test_round_trip_bit_exact(self):
         g = generate_random_connected(20, 5, seed=2)
-        text = graph_to_text(g)
+        text = g.to_text()
         assert graph_from_text(text) == g
-        assert graph_to_text(graph_from_text(text)) == text
+        assert graph_from_text(text).to_text() == text
 
     def test_header_and_shape(self):
-        text = graph_to_text(build(2, [(0, 1, 1, 1)]))
+        text = build(2, [(0, 1, 1, 1)]).to_text()
         assert text == "2 1\n0 1 1 1\n"
 
     def test_parse_errors_carry_line_numbers(self):
@@ -227,6 +303,22 @@ class TestFileFormat:
             graph_from_text("2 1\n0 1 x 1\n")
         with pytest.raises(GraphFormatError):
             graph_from_text("3 1\n0 1 1 1\n")  # disconnected
+
+    def test_header_node_count_checked_before_building(self):
+        # a connected graph has at most m + 1 nodes; a larger header count
+        # is refused before any per-node state is allocated
+        with pytest.raises(GraphFormatError, match="line 1"):
+            graph_from_text("1" + "0" * 30 + " 0\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_mutated_graph_text(), st.text(max_size=60)))
+    def test_any_text_parses_or_raises_graph_error(self, text):
+        try:
+            g = graph_from_text(text)
+        except GraphError:
+            return
+        assert isinstance(g, PortGraph)
+        assert graph_from_text(g.to_text()) == g
 
     def test_content_hash_stable(self):
         g = generate_ring(8)
