@@ -20,9 +20,9 @@ from .agents import (default_round_cap, degree_class, rendezvous_program,
                      rendezvous_round_bound)
 from .adversary import (build_instance, is_paired_numbering, number_butterfly,
                         verify_frozen_distance)
-from .graphs import (PortGraph, butterfly_coords, butterfly_index,
+from .graphs import (FAMILIES, PortGraph, butterfly_coords, butterfly_index,
                      generate_butterfly, generate_caterpillar,
-                     generate_random_connected, generate_ring)
+                     generate_random_connected, generate_ring, materialize)
 from .oracle import DistanceOracle, all_pairs, bfs_distances
 from .sim import CAP, MET, SimConfig, run
 
@@ -65,22 +65,6 @@ class Cell:
     def sort_key(self):
         return (self.family, self.params_text(), self.start1, self.start2,
                 self.label1, self.label2, self.oracle_mode)
-
-
-def materialize(family: str, params: dict) -> PortGraph:
-    if family == "caterpillar":
-        return generate_caterpillar(params["spine_length"], params["degree"],
-                                    params.get("policy", "adversarial"),
-                                    params.get("seed", 0)).graph
-    if family == "butterfly":
-        return generate_butterfly(params["clique_size"], params["columns"])
-    if family == "ring":
-        return generate_ring(params["size"], params.get("numbering", "uniform"),
-                             params.get("seed", 0))
-    if family == "random":
-        return generate_random_connected(params["size"], params["max_degree"],
-                                         params["seed"])
-    raise ValueError(f"unknown family {family!r}")
 
 
 def farthest_node(g: PortGraph, source: int) -> int:
@@ -136,14 +120,14 @@ def upper_bound_corpus() -> list[Cell]:
     graphs, with labels from the fixed pool."""
     cells: list[Cell] = []
 
+    caterpillar_starts = FAMILIES["caterpillar"].starts
     for spine, degree in itertools.product((1, 2, 4, 8, 16), (3, 4, 8, 16)):
         for policy in ("adversarial", "random"):
-            cat = generate_caterpillar(spine, degree, policy, seed=1)
+            params = (("spine_length", spine), ("degree", degree),
+                      ("policy", policy), ("seed", 1))
+            s1, s2 = caterpillar_starts(dict(params))
             for l1, l2 in ((2, 5), (0, 2 ** 16 - 1)):
-                cells.append(Cell("caterpillar",
-                                  (("spine_length", spine), ("degree", degree),
-                                   ("policy", policy), ("seed", 1)),
-                                  cat.start1, cat.start2, l1, l2))
+                cells.append(Cell("caterpillar", params, s1, s2, l1, l2))
 
     for k in (3, 5, 13):
         cols = 8
@@ -289,6 +273,8 @@ def check_lockstep(cases: int = 1000) -> CriterionResult:
 
 
 def _joint_live_failures(ev1, ev2):
+    """Degrees of bound-degree calls that both agents entered with b=1 in the
+    same round and both finished with failure in the same round."""
     def spans(events):
         stack, out = [], {}
         for e in events:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -19,15 +20,17 @@ from . import acceptance
 from .acceptance import SWEEP_COLUMNS, Cell, run_cell
 from .adversary import HorizonViolatedError, build_instance, verify_frozen_distance
 from .agents import default_round_cap, rendezvous_program, rendezvous_round_bound
-from .graphs import (GraphError, butterfly_index, generate_butterfly,
-                     generate_caterpillar, generate_random_connected,
-                     generate_ring, load_graph, save_graph)
+from .graphs import FAMILIES, load_graph, materialize, save_graph
 from .oracle import bfs_distances
 from .sim import MET, SimConfig, check_starts, run, trace_header, write_trace
 
 
 def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x != ""]
+
+
+def _words(text: str) -> list[str]:
+    return text.split(",")
 
 
 def _label_pairs(text: str) -> list[tuple[int, int]]:
@@ -58,42 +61,21 @@ def _emit(pairs) -> None:
 # generate
 # ----------------------------------------------------------------------------
 
-_FAMILY_FLAGS = {
-    "caterpillar": ("spine_length", "degree"),
-    "butterfly": ("clique_size", "columns"),
-    "ring": ("size",),
-    "random": ("size", "max_degree"),
-}
-
-
-def _require_family_flags(args) -> None:
-    missing = [name for name in _FAMILY_FLAGS[args.family]
-               if getattr(args, name) is None]
+def cmd_generate(args) -> int:
+    family = FAMILIES[args.family]
+    missing = [name for name in family.params
+               if name not in family.defaults and getattr(args, name) is None]
     if missing:
         flags = ", ".join("--" + name.replace("_", "-") for name in missing)
         raise ValueError(f"family {args.family!r} needs {flags}")
-
-
-def cmd_generate(args) -> int:
-    family = args.family
-    _require_family_flags(args)
-    starts = None
-    if family == "caterpillar":
-        cat = generate_caterpillar(args.spine_length, args.degree, args.policy, args.seed)
-        g, starts = cat.graph, (cat.start1, cat.start2)
-    elif family == "butterfly":
-        g = generate_butterfly(args.clique_size, args.columns)
-        starts = (butterfly_index(args.clique_size, 0, 0),
-                  butterfly_index(args.clique_size, 0, args.columns // 2))
-    elif family == "ring":
-        g = generate_ring(args.size, args.numbering, args.seed)
-    else:
-        g = generate_random_connected(args.size, args.max_degree, args.seed)
+    params = {name: getattr(args, name) for name in family.params}
+    g = materialize(args.family, params)
     save_graph(g, args.out)
-    out = [("family", family), ("n", g.num_nodes), ("m", g.num_edges),
+    out = [("family", args.family), ("n", g.num_nodes), ("m", g.num_edges),
            ("max_degree", g.max_degree)]
-    if starts is not None:
-        out += [("start1", starts[0]), ("start2", starts[1])]
+    if family.starts is not None:
+        start1, start2 = family.starts(params)
+        out += [("start1", start1), ("start2", start2)]
     out.append(("out", args.out))
     _emit(out)
     return 0
@@ -135,6 +117,27 @@ def cmd_run(args) -> int:
 # sweep
 # ----------------------------------------------------------------------------
 
+# family parameter -> (sweep flag listing its values, parser of that list)
+_SWEEP_LISTS = {
+    "spine_length": ("spine_lengths", _ints), "degree": ("degrees", _ints),
+    "policy": ("policies", _words), "clique_size": ("clique_sizes", _ints),
+    "columns": ("columns", _ints), "size": ("sizes", _ints),
+    "numbering": ("numbering", _words), "max_degree": ("max_degrees", _ints),
+    "seed": ("seeds", _ints),
+}
+
+
+def _sweep_starts(args, params: dict) -> list[tuple[int, int]]:
+    starts = FAMILIES[args.family].starts
+    if starts is not None:
+        return [starts(params)]
+    if args.family == "random":
+        return [(0, -1)]  # -1 resolves to the farthest node from start1
+    n = params["size"]  # ring: opposite starts, rotated
+    rotations = n if args.rotations == 0 else min(args.rotations, n)
+    return [(rot, (rot + n // 2) % n) for rot in range(rotations)]
+
+
 def _sweep_cells(args) -> list[Cell]:
     if args.label_pairs:
         pairs = _label_pairs(args.label_pairs)
@@ -142,48 +145,15 @@ def _sweep_cells(args) -> list[Cell]:
         lo, _, hi = args.label_range.partition(":")
         labels = range(int(lo), int(hi))
         pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
-    mode = args.oracle_mode
+    names = FAMILIES[args.family].params
+    grid = [parse(getattr(args, flag))
+            for flag, parse in (_SWEEP_LISTS[name] for name in names)]
     cells: list[Cell] = []
-    if args.family == "caterpillar":
-        for spine in _ints(args.spine_lengths):
-            for degree in _ints(args.degrees):
-                for policy in args.policies.split(","):
-                    for seed in _ints(args.seeds):
-                        for l1, l2 in pairs:
-                            # designated starts: the two spine endpoints
-                            cells.append(Cell(
-                                "caterpillar",
-                                (("spine_length", spine), ("degree", degree),
-                                 ("policy", policy), ("seed", seed)),
-                                0, spine, l1, l2, mode))
-    elif args.family == "butterfly":
-        for k in _ints(args.clique_sizes):
-            for cols in _ints(args.columns):
-                s1 = butterfly_index(k, 0, 0)
-                s2 = butterfly_index(k, 0, cols // 2)
-                for l1, l2 in pairs:
-                    cells.append(Cell("butterfly",
-                                      (("clique_size", k), ("columns", cols)),
-                                      s1, s2, l1, l2, mode))
-    elif args.family == "ring":
-        for n in _ints(args.sizes):
-            for seed in _ints(args.seeds):
-                rotations = range(n) if args.rotations == 0 else range(min(args.rotations, n))
-                for rot in rotations:
-                    for l1, l2 in pairs:
-                        cells.append(Cell(
-                            "ring",
-                            (("size", n), ("numbering", args.numbering), ("seed", seed)),
-                            rot, (rot + n // 2) % n, l1, l2, mode))
-    else:  # random; start2 = -1 resolves to the farthest node from start1
-        for n in _ints(args.sizes):
-            for cap in _ints(args.max_degrees):
-                for seed in _ints(args.seeds):
-                    for l1, l2 in pairs:
-                        cells.append(Cell(
-                            "random",
-                            (("size", n), ("max_degree", cap), ("seed", seed)),
-                            0, -1, l1, l2, mode))
+    for values in itertools.product(*grid):
+        params = dict(zip(names, values))
+        for (s1, s2), (l1, l2) in itertools.product(_sweep_starts(args, params), pairs):
+            cells.append(Cell(args.family, tuple(params.items()), s1, s2, l1, l2,
+                              args.oracle_mode))
     return sorted(cells, key=Cell.sort_key)
 
 
@@ -192,6 +162,9 @@ def cmd_sweep(args) -> int:
         print("exactly one of --label-pairs or --label-range is required",
               file=sys.stderr)
         return 2
+    for flag in ("rotations", "jobs"):
+        if getattr(args, flag) < 0:
+            raise ValueError(f"--{flag} must be >= 0")
     cells = _sweep_cells(args)
     repeat = max(1, args.repeat)
     jobs = args.jobs or os.cpu_count() or 1
@@ -278,8 +251,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a graph file")
-    gen.add_argument("--family", required=True,
-                     choices=("caterpillar", "butterfly", "ring", "random"))
+    gen.add_argument("--family", required=True, choices=tuple(FAMILIES))
     gen.add_argument("--spine-length", type=int, help="caterpillar spine length")
     gen.add_argument("--degree", type=int, help="caterpillar uniform degree")
     gen.add_argument("--policy", default="adversarial",
@@ -309,8 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", help="run a parameter grid to CSV",
         description="CSV columns, in order: " + ", ".join(SWEEP_COLUMNS))
-    sweep.add_argument("--family", required=True,
-                       choices=("caterpillar", "butterfly", "ring", "random"))
+    sweep.add_argument("--family", required=True, choices=tuple(FAMILIES))
     sweep.add_argument("--spine-lengths", default="", help="comma list (caterpillar)")
     sweep.add_argument("--degrees", default="", help="comma list (caterpillar)")
     sweep.add_argument("--policies", default="adversarial", help="comma list (caterpillar)")
@@ -357,10 +328,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # GraphError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

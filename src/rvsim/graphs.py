@@ -13,7 +13,7 @@ import random
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 
 class GraphError(ValueError):
@@ -447,3 +447,45 @@ def generate_random_connected(size: int, max_degree: int, seed: int) -> PortGrap
     edges = [(u, port_of_edge[u][ei], v, port_of_edge[v][ei])
              for ei, (u, v) in enumerate(edge_pairs)]
     return build(size, edges)
+
+
+# ----------------------------------------------------------------------------
+# family registry: generate, sweep and the release gate build graphs by
+# family name and parameters through it
+# ----------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Family:
+    """How to build one graph family, and its designated starts if it has any."""
+
+    params: tuple[str, ...]  # generator arguments, in Cell.params / CSV order
+    defaults: dict  # values of the params a caller may omit
+    generate: Callable[..., PortGraph]
+    starts: Callable[[dict], tuple[int, int]] | None = None  # designated starts
+
+
+# each lambda looks its generator up when called, so a wrapper installed on a
+# module-level generator (a profiler's, say) sees registry calls too
+FAMILIES = {
+    "caterpillar": Family(("spine_length", "degree", "policy", "seed"),
+                          {"policy": "adversarial", "seed": 0},
+                          lambda *a: generate_caterpillar(*a).graph,
+                          lambda p: (0, p["spine_length"])),  # the spine endpoints
+    "butterfly": Family(("clique_size", "columns"), {},
+                        lambda *a: generate_butterfly(*a),
+                        lambda p: (butterfly_index(p["clique_size"], 0, 0),
+                                   butterfly_index(p["clique_size"], 0, p["columns"] // 2))),
+    "ring": Family(("size", "numbering", "seed"), {"numbering": "uniform", "seed": 0},
+                   lambda *a: generate_ring(*a)),
+    "random": Family(("size", "max_degree", "seed"), {},
+                     lambda *a: generate_random_connected(*a)),
+}
+
+
+def materialize(family: str, params: dict) -> PortGraph:
+    """The graph of ``family`` with ``params``, omitted ones defaulted."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}")
+    fam = FAMILIES[family]
+    values = {**fam.defaults, **params}
+    return fam.generate(*(values[name] for name in fam.params))

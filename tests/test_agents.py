@@ -26,6 +26,7 @@ from rvsim import (
     run,
     probe_ports_program,
 )
+from rvsim.acceptance import _event_prefix, _joint_live_failures
 from rvsim.agents import Observation, extended_bit
 
 PATH3 = build(3, [(0, 1, 1, 1), (1, 2, 2, 1)])
@@ -287,18 +288,6 @@ def _paired_events(g, s1, s2, l1, l2, cap=5000):
     return res, p1, p2
 
 
-def _prefix_until_compare_exit(events):
-    # keep success flags on exits: lockstepped agents must agree on outcomes,
-    # not just on boundary rounds
-    out = []
-    for e in events:
-        outcome = e.info[0] if e.kind == "exit" and e.proc != "compare_labels" else None
-        out.append((e.round, e.proc, e.kind, outcome))
-        if e.proc == "compare_labels" and e.kind == "exit":
-            break
-    return out
-
-
 class TestLockstepProperties:
     @given(st.integers(4, 20), st.integers(2, 6), st.integers(0, 200),
            st.integers(0, 63), st.integers(0, 63), st.data())
@@ -307,7 +296,7 @@ class TestLockstepProperties:
         s1 = data.draw(st.integers(0, n - 1))
         s2 = data.draw(st.integers(0, n - 1).filter(lambda x: x != s1))
         res, p1, p2 = _paired_events(g, s1, s2, l1, l2)
-        assert _prefix_until_compare_exit(p1.events) == _prefix_until_compare_exit(p2.events)
+        assert _event_prefix(p1.events) == _event_prefix(p2.events)
 
     @given(st.sampled_from([4, 6, 8, 10, 12]), st.integers(0, 63), st.integers(0, 63))
     def test_joint_failures_imply_similar_degrees(self, n, l1, l2):
@@ -329,23 +318,3 @@ class TestLockstepProperties:
         assert x1 and x2
         assert x1[0].round == x2[0].round
         assert {x1[0].info[0], x2[0].info[0]} == {0, 1}
-
-
-def _joint_live_failures(ev1, ev2):
-    """Degrees of bound-degree calls that both agents entered with b=1 in the
-    same round and both finished with failure in the same round."""
-    def spans(events):
-        stack, out = [], {}
-        for e in events:
-            if e.proc != "bound_degrees":
-                continue
-            if e.kind == "enter":
-                stack.append(e)
-            else:
-                en = stack.pop()
-                if en.info[0] == 1 and e.info[0] is False:
-                    out[(en.round, e.round)] = en.info[1]
-        return out
-    s1 = spans(ev1)
-    s2 = spans(ev2)
-    return [(s1[k], s2[k]) for k in sorted(set(s1) & set(s2))]

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -154,6 +155,16 @@ class TestSweep:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--rotations", "--jobs"])
+    def test_negative_count_exit_2(self, tmp_path, capsys, flag):
+        out = tmp_path / "neg.csv"
+        code = main(["sweep", "--family", "ring", "--sizes", "6", "--label-pairs", "2:5",
+                     flag, "-3", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and f"{flag} must be >= 0" in captured.err
+        assert not out.exists()
+
     def test_parallel_equals_serial(self, tmp_path, capsys):
         outs = []
         for jobs, name in (("1", "serial.csv"), ("2", "par.csv")):
@@ -164,6 +175,90 @@ class TestSweep:
             capsys.readouterr()
             outs.append(read(path))
         assert outs[0] == outs[1]
+
+
+# Each command writes one file under a relative name, so its stdout does not
+# depend on the working directory. The digests were recorded when every
+# family still had its own branch in `generate`, `sweep` and the release
+# gate; they pin CLI stdout, graph files and sweep CSVs across changes.
+_GOLDEN_RUNS = {
+    "generate-caterpillar": (
+        ["generate", "--family", "caterpillar", "--spine-length", "5", "--degree", "4",
+         "--policy", "random", "--seed", "4", "--out", "cat.txt"], "cat.txt",
+        "9dc7b1fefee0d10bf70aa04b750833dd3af632c9ea0fb7dad1b22a4361794d15",
+        "b170554b5e70bb33d0568ab5f70fce54687dd7414eaa512d8c497056f4e557f0"),
+    "generate-butterfly": (
+        ["generate", "--family", "butterfly", "--clique-size", "5", "--columns", "6",
+         "--out", "bfly.txt"], "bfly.txt",
+        "9f1a4476190b6d29854aa135902553345b57d9d5802ac34fe9b2cf1b45696417",
+        "74cce538fffd655a36773000807c83ecac38baf197d777da93baaad024827cdf"),
+    "generate-ring": (
+        ["generate", "--family", "ring", "--size", "9", "--numbering", "random",
+         "--seed", "2", "--out", "ring.txt"], "ring.txt",
+        "041b048983124dbfc99d586df36adc89a247492bf8f99cfa7d4f2e5aa0bdce8f",
+        "f01bb616b7da80699a04829e9bdb1bd35b43b56504c2a7ea755fb3d3f558ee08"),
+    "generate-random": (
+        ["generate", "--family", "random", "--size", "40", "--max-degree", "5",
+         "--seed", "7", "--out", "rand.txt"], "rand.txt",
+        "0c81f0ac764a078b9da9855405c1817683760a694e73e41e532901a7853d1b34",
+        "5f2ee1bcbd46695cc3e4f01a2b8daab1e79a77cac3fe941c0ddf5b36939a5f9c"),
+    "sweep-caterpillar": (
+        ["sweep", "--family", "caterpillar", "--spine-lengths", "2,3", "--degrees", "3,4",
+         "--policies", "adversarial,random", "--seeds", "0,1", "--label-pairs", "2:5",
+         "--jobs", "1", "--out", "cat.csv"], "cat.csv",
+        "2fa8939ec63b637cb36d1a7f9b0d487ee971831b0d716677f814d997b8adbf24",
+        "0d331d5db2f693ca2542dc8e7a174024abffe313f05b1ecdefc1955d12b8c92d"),
+    "sweep-butterfly": (
+        ["sweep", "--family", "butterfly", "--clique-sizes", "3,5", "--columns", "6",
+         "--label-range", "0:4", "--jobs", "1", "--out", "bfly.csv"], "bfly.csv",
+        "1144b4788a77d9a7f5757dd3968684b2c509773405fb20f19366c697d12f8d1c",
+        "a2842680838725b40996a137fb928bd2a8b84143d50c3f6c44ac0e2163449f10"),
+    "sweep-ring-uniform": (
+        ["sweep", "--family", "ring", "--sizes", "6,7", "--seeds", "0,1",
+         "--numbering", "uniform", "--rotations", "3", "--label-pairs", "0:1,2:5",
+         "--jobs", "1", "--out", "ring.csv"], "ring.csv",
+        "4a0d58a72872d2199f9abeaf41cc9fffc90a1f50d1bf5f0dd603b5b440167485",
+        "c9435358dfe6c09826371e1c174b52bfae42c6ff4dcbc653ef658a4526dc9e4c"),
+    "sweep-ring-random": (
+        ["sweep", "--family", "ring", "--sizes", "6,7", "--seeds", "0,1",
+         "--numbering", "random", "--rotations", "3", "--label-pairs", "0:1,2:5",
+         "--jobs", "1", "--out", "ring.csv"], "ring.csv",
+        "0cb7e27bd56592c88790180ee6895f28016fd4279e6c1aa6369862bcfe898a41",
+        "3e582c72f75c67dc9993d5b34f001f49cd09d479e2fbf9872e618b114dbe76b8"),
+    "sweep-random": (
+        ["sweep", "--family", "random", "--sizes", "12,20", "--max-degrees", "3,5",
+         "--seeds", "0,1", "--label-pairs", "2:5", "--oracle-mode", "delta",
+         "--jobs", "1", "--out", "rand.csv"], "rand.csv",
+        "0256ab53e83c33cac143d346270351b94b92efca3a2924e2b96b6a381e4a8144",
+        "77c4115ad83894d06ebef6ba5a65a29a3af6e3b2b97ffdca084792602dfcfcfd"),
+}
+# argparse wraps help text to $COLUMNS; these digests hold for Python 3.10 and 3.11
+_GOLDEN_HELP = {
+    "generate": "18280f25591f00975d52ff26e780a5b3dcf4ae09aeacecfcd71201ba6452c930",
+    "sweep": "fd43784861894bbe919bdebc2503ccd7e9bdce90591e38bbd3e78a86d2d52c69",
+}
+
+
+def _sha256(data):
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_RUNS))
+    def test_command_bytes(self, name, tmp_path, monkeypatch, capsys):
+        argv, written, stdout_digest, file_digest = _GOLDEN_RUNS[name]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        assert _sha256(capsys.readouterr().out) == stdout_digest
+        assert _sha256(read(tmp_path / written)) == file_digest
+
+    @pytest.mark.parametrize("command", sorted(_GOLDEN_HELP))
+    def test_help_bytes(self, command, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert _sha256(capsys.readouterr().out) == _GOLDEN_HELP[command]
 
 
 class TestLowerbound:
@@ -225,6 +320,27 @@ _RUN = (["--start1", "0", "--start2", "3", "--label1", "0", "--label2", "1",
          "--oracle-mode": _NOT_CHOICE,
          "--round-cap": st.integers(max_value=-1) | _NOT_INT})
 
+# a comma-free non-integer, alone or after a valid entry of a comma list
+_NOT_INT_ITEM = st.text(min_size=1, max_size=8).filter(lambda s: "," not in s and _not_int(s))
+_NOT_INT_LIST = _NOT_INT_ITEM | _NOT_INT_ITEM.map(lambda s: "6," + s)
+_NOT_COUNT = st.integers(max_value=-1) | _NOT_INT
+_SWEEP_COMMON = (["--label-pairs", "2:5", "--oracle-mode", "delta", "--jobs", "1"],
+                 {"--family": _NOT_CHOICE, "--oracle-mode": _NOT_CHOICE, "--jobs": _NOT_COUNT,
+                  "--label-pairs": _NOT_INT_ITEM.map(lambda s: "2:" + s)})
+_SWEEP = [
+    (["--family", "caterpillar", "--spine-lengths", "2", "--degrees", "3",
+      "--policies", "random", "--seeds", "1"],
+     {"--spine-lengths": _NOT_INT_LIST, "--degrees": _NOT_INT_LIST, "--seeds": _NOT_INT_LIST}),
+    (["--family", "butterfly", "--clique-sizes", "3", "--columns", "4"],
+     {"--clique-sizes": _NOT_INT_LIST, "--columns": _NOT_INT_LIST}),
+    (["--family", "ring", "--sizes", "6", "--seeds", "0", "--numbering", "uniform",
+      "--rotations", "2"],
+     {"--sizes": _NOT_INT_LIST, "--seeds": _NOT_INT_LIST, "--numbering": _NOT_CHOICE,
+      "--rotations": _NOT_COUNT}),
+    (["--family", "random", "--sizes", "12", "--max-degrees", "4", "--seeds", "3"],
+     {"--sizes": _NOT_INT_LIST, "--max-degrees": _NOT_INT_LIST, "--seeds": _NOT_INT_LIST}),
+]
+
 
 def _swap(argv, flags, data):
     """argv with the value after one flag replaced by a drawn bad value."""
@@ -275,6 +391,18 @@ class TestBadArgumentValues:
         argv = ["run", "--graph", str(fuzz_dir / graph)] + base + trace
         if graph == "ring.txt" and not trace:
             argv = _swap(argv, flags, data)
+        code, stdout, stderr = _exit_code(argv, capsys)
+        assert code == 2, argv
+        assert stdout == "" and "Traceback" not in stderr
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_sweep_exits_2(self, fuzz_dir, capsys, data):
+        base, flags = data.draw(st.sampled_from(_SWEEP))
+        common, common_flags = _SWEEP_COMMON
+        argv = ["sweep"] + base + common + ["--out", str(fuzz_dir / "s.csv")]
+        argv = _swap(argv, {**flags, **common_flags}, data)
         code, stdout, stderr = _exit_code(argv, capsys)
         assert code == 2, argv
         assert stdout == "" and "Traceback" not in stderr
