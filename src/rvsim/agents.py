@@ -28,12 +28,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .oracle import DistanceDelta
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(NamedTuple):
     """What an agent learns at the start of a round.
 
     ``arrival_port`` is 0 when the agent stayed put last round, else the entry

@@ -144,6 +144,8 @@ def _sweep_cells(args) -> list[Cell]:
     else:
         lo, _, hi = args.label_range.partition(":")
         labels = range(int(lo), int(hi))
+        if len(labels) < 2:
+            raise ValueError(f"--label-range {args.label_range} holds no label pair")
         pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
     names = FAMILIES[args.family].params
     grid = [parse(getattr(args, flag))
@@ -162,11 +164,11 @@ def cmd_sweep(args) -> int:
         print("exactly one of --label-pairs or --label-range is required",
               file=sys.stderr)
         return 2
-    for flag in ("rotations", "jobs"):
-        if getattr(args, flag) < 0:
-            raise ValueError(f"--{flag} must be >= 0")
+    for flag, least in (("rotations", 0), ("jobs", 0), ("repeat", 1)):
+        if getattr(args, flag) < least:
+            raise ValueError(f"--{flag} must be >= {least}")
     cells = _sweep_cells(args)
-    repeat = max(1, args.repeat)
+    repeat = args.repeat
     jobs = args.jobs or os.cpu_count() or 1
     work = cells * repeat  # repeats grouped by position: work[i::len(cells)]
     if jobs > 1 and len(work) > 1:

@@ -12,8 +12,9 @@ as a callable, so a program cannot query more than once per round.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .agents import AgentProgram, Observation
 from .graphs import PortGraph
@@ -60,8 +61,7 @@ class SimConfig:
             raise ValueError(f"trace_detail must be one of {_TRACE_DETAILS}")
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     """One round: start positions and distance, chosen ports, entry ports,
     and positions after the atomic moves."""
 
@@ -148,38 +148,40 @@ def run(g: PortGraph, start1: int, start2: int,
 
 
 def replay_check(rows: Iterable[TraceRow], g: PortGraph) -> list[str]:
-    """Re-validate a full trace against the graph: move legality, exact
-    distances, and position continuity. Returns violation descriptions."""
+    """Re-validate a full trace against the graph: node ranges, move legality,
+    exact distances, and position continuity. Returns violation descriptions."""
     violations = []
     oracle = DistanceOracle(g)
-    prev: TraceRow | None = None
-    for row in rows:
-        if prev is not None:
-            if (prev.next1, prev.next2) != (row.pos1, row.pos2):
-                violations.append(
-                    f"row {row.round}: start positions ({row.pos1}, {row.pos2}) "
-                    f"break continuity with ({prev.next1}, {prev.next2})")
-            if abs(row.dist - prev.dist) > 2:
-                violations.append(f"row {row.round}: distance jumped {prev.dist} -> {row.dist}")
-        true_d = oracle.distance(row.pos1, row.pos2)
-        if row.dist != true_d:
-            violations.append(f"row {row.round}: recorded distance {row.dist}, actual {true_d}")
-        for who, pos, port, arr, nxt in (
-            (1, row.pos1, row.port1, row.arrival1, row.next1),
-            (2, row.pos2, row.port2, row.arrival2, row.next2),
-        ):
+    n = g.num_nodes
+    before: tuple[int, int] | None = None  # previous row's (next1, next2)
+    prev_dist = 0
+    for rnd, pos1, pos2, dist, port1, port2, arr1, arr2, next1, next2 in rows:
+        if before is not None:
+            if before != (pos1, pos2):
+                violations.append(f"row {rnd}: start positions ({pos1}, {pos2}) "
+                                  f"break continuity with {before}")
+            if abs(dist - prev_dist) > 2:
+                violations.append(f"row {rnd}: distance jumped {prev_dist} -> {dist}")
+        before, prev_dist = (next1, next2), dist
+        if not (0 <= pos1 < n and 0 <= pos2 < n and 0 <= next1 < n and 0 <= next2 < n):
+            violations.append(f"row {rnd}: positions ({pos1}, {pos2}) -> ({next1}, {next2}) "
+                              f"outside 0..{n - 1}")
+            continue
+        true_d = oracle.distance(pos1, pos2)
+        if dist != true_d:
+            violations.append(f"row {rnd}: recorded distance {dist}, actual {true_d}")
+        for who, pos, port, arr, nxt in ((1, pos1, port1, arr1, next1),
+                                         (2, pos2, port2, arr2, next2)):
             if 1 <= port <= g.degree(pos):
                 w, q = g.neighbor(pos, port)
                 if (nxt, arr) != (w, q):
                     violations.append(
-                        f"row {row.round}: agent {who} took port {port} from {pos} "
+                        f"row {rnd}: agent {who} took port {port} from {pos} "
                         f"but landed ({nxt}, arrival {arr}) instead of ({w}, {q})")
-            else:
-                if nxt != pos or arr != 0:
-                    violations.append(
-                        f"row {row.round}: agent {who} had stay action {port} "
-                        f"but moved {pos} -> {nxt} (arrival {arr})")
-        prev = row
+            elif nxt != pos or arr != 0:
+                violations.append(
+                    f"row {rnd}: agent {who} had stay action {port} "
+                    f"but moved {pos} -> {nxt} (arrival {arr})")
     return violations
 
 
@@ -187,6 +189,15 @@ def replay_check(rows: Iterable[TraceRow], g: PortGraph) -> list[str]:
 # trace serialization: JSON-lines with a header record, one record per row,
 # and a result record; field order is fixed so traces diff cleanly.
 # ----------------------------------------------------------------------------
+
+# A row record as json.dumps spells it for integer fields. The writer fills it
+# in; the reader matches it with each field a JSON integer of at most 18
+# digits and sends every other line, longer numbers included, to json.loads.
+_ROW_LINE = ('{"kind": "row", ' + ", ".join(f'"{f}": %d' for f in TraceRow._fields)
+             + "}\n")
+_match_row_line = re.compile(re.escape(_ROW_LINE[:-1]).replace(
+    "%d", "(-?(?:0|[1-9][0-9]{0,17}))") + "\n?").fullmatch
+
 
 def trace_header(g: PortGraph, start1: int, start2: int,
                  label1: int | None, label2: int | None, cfg: SimConfig) -> dict:
@@ -205,20 +216,7 @@ def trace_header(g: PortGraph, start1: int, start2: int,
 
 def write_trace(fh: IO[str], header: dict, result: RunResult) -> None:
     fh.write(json.dumps(header) + "\n")
-    for row in result.trace or ():
-        fh.write(json.dumps({
-            "kind": "row",
-            "round": row.round,
-            "pos1": row.pos1,
-            "pos2": row.pos2,
-            "dist": row.dist,
-            "port1": row.port1,
-            "port2": row.port2,
-            "arrival1": row.arrival1,
-            "arrival2": row.arrival2,
-            "next1": row.next1,
-            "next2": row.next2,
-        }) + "\n")
+    fh.writelines(_ROW_LINE % row for row in result.trace or ())
     fh.write(json.dumps({
         "kind": "result",
         "outcome": result.outcome,
@@ -235,6 +233,10 @@ def read_trace(fh: IO[str]) -> tuple[dict, list[TraceRow], dict]:
     rows: list[TraceRow] = []
     result: dict | None = None
     for lineno, line in enumerate(fh, start=1):
+        m = _match_row_line(line)
+        if m:
+            rows.append(TraceRow._make(map(int, m.groups())))
+            continue
         if not line.strip():
             continue
         try:
@@ -247,13 +249,12 @@ def read_trace(fh: IO[str]) -> tuple[dict, list[TraceRow], dict]:
         if kind == "header":
             header = rec
         elif kind == "row":
-            try:
-                rows.append(TraceRow(rec["round"], rec["pos1"], rec["pos2"], rec["dist"],
-                                     rec["port1"], rec["port2"], rec["arrival1"],
-                                     rec["arrival2"], rec["next1"], rec["next2"]))
-            except KeyError as exc:
-                raise TraceFormatError(f"row record missing field {exc.args[0]!r}",
-                                       lineno) from None
+            for name in TraceRow._fields:
+                if name not in rec:
+                    raise TraceFormatError(f"row record missing field {name!r}", lineno)
+                if type(rec[name]) is not int:
+                    raise TraceFormatError(f"row field {name!r} is not an integer", lineno)
+            rows.append(TraceRow._make(rec[name] for name in TraceRow._fields))
         elif kind == "result":
             result = rec
     if header is None or result is None:

@@ -155,14 +155,22 @@ class TestSweep:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
-    @pytest.mark.parametrize("flag", ["--rotations", "--jobs"])
-    def test_negative_count_exit_2(self, tmp_path, capsys, flag):
+    @pytest.mark.parametrize("flag, value, message", [
+        pytest.param("--rotations", "-3", "--rotations must be >= 0", id="--rotations"),
+        pytest.param("--jobs", "-3", "--jobs must be >= 0", id="--jobs"),
+        pytest.param("--repeat", "0", "--repeat must be >= 1", id="--repeat=0"),
+        pytest.param("--repeat", "-2", "--repeat must be >= 1", id="--repeat=-2"),
+        pytest.param("--label-range", "4:2", "--label-range 4:2 holds no label pair",
+                     id="--label-range=4:2"),
+    ])
+    def test_negative_count_exit_2(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "neg.csv"
-        code = main(["sweep", "--family", "ring", "--sizes", "6", "--label-pairs", "2:5",
-                     flag, "-3", "--out", str(out)])
+        labels = [] if flag == "--label-range" else ["--label-pairs", "2:5"]
+        code = main(["sweep", "--family", "ring", "--sizes", "6", *labels,
+                     flag, value, "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 2
-        assert captured.out == "" and f"{flag} must be >= 0" in captured.err
+        assert captured.out == "" and message in captured.err
         assert not out.exists()
 
     def test_parallel_equals_serial(self, tmp_path, capsys):
@@ -232,10 +240,22 @@ _GOLDEN_RUNS = {
         "0256ab53e83c33cac143d346270351b94b92efca3a2924e2b96b6a381e4a8144",
         "77c4115ad83894d06ebef6ba5a65a29a3af6e3b2b97ffdca084792602dfcfcfd"),
 }
-# argparse wraps help text to $COLUMNS; these digests hold for Python 3.10 and 3.11
+# argparse wraps help text to $COLUMNS; these digests hold for Python 3.10 to 3.13
 _GOLDEN_HELP = {
     "generate": "18280f25591f00975d52ff26e780a5b3dcf4ae09aeacecfcd71201ba6452c930",
     "sweep": "fd43784861894bbe919bdebc2503ccd7e9bdce90591e38bbd3e78a86d2d52c69",
+}
+
+# `run --trace-out` in each oracle mode on a graph that `generate` writes
+# first: mode -> (stdout digest, trace digest). Recorded while rows were still
+# written through json.dumps; they pin trace bytes across changes.
+_TRACE_GRAPH = ["generate", "--family", "random", "--size", "30", "--max-degree", "4",
+                "--seed", "5", "--out", "g.txt"]
+_GOLDEN_TRACES = {
+    "exact": ("dc3870be02ef946b9aedc78a5a7b4ff9f8bdc8f4a9ee8dff14231f4e1e862768",
+              "1f830f8f6cfaed04763640fbc78627a6a3b7b589dfd6932c66b42d9b06f7b9e2"),
+    "delta": ("dc3870be02ef946b9aedc78a5a7b4ff9f8bdc8f4a9ee8dff14231f4e1e862768",
+              "20faacfeff9b0dcad25032e2c55c9213a3c95bca6dedc29cd28d22f8cfb1c6eb"),
 }
 
 
@@ -251,6 +271,18 @@ class TestGoldenBytes:
         assert main(argv) == 0
         assert _sha256(capsys.readouterr().out) == stdout_digest
         assert _sha256(read(tmp_path / written)) == file_digest
+
+    @pytest.mark.parametrize("mode", sorted(_GOLDEN_TRACES))
+    def test_trace_bytes(self, mode, tmp_path, monkeypatch, capsys):
+        stdout_digest, trace_digest = _GOLDEN_TRACES[mode]
+        monkeypatch.chdir(tmp_path)
+        assert main(_TRACE_GRAPH) == 0
+        capsys.readouterr()
+        assert main(["run", "--graph", "g.txt", "--start1", "0", "--start2", "15",
+                     "--label1", "6", "--label2", "9", "--oracle-mode", mode,
+                     "--trace-out", "t.jsonl"]) == 0
+        assert _sha256(capsys.readouterr().out) == stdout_digest
+        assert _sha256(read(tmp_path / "t.jsonl")) == trace_digest
 
     @pytest.mark.parametrize("command", sorted(_GOLDEN_HELP))
     def test_help_bytes(self, command, monkeypatch, capsys):
@@ -324,9 +356,15 @@ _RUN = (["--start1", "0", "--start2", "3", "--label1", "0", "--label2", "1",
 _NOT_INT_ITEM = st.text(min_size=1, max_size=8).filter(lambda s: "," not in s and _not_int(s))
 _NOT_INT_LIST = _NOT_INT_ITEM | _NOT_INT_ITEM.map(lambda s: "6," + s)
 _NOT_COUNT = st.integers(max_value=-1) | _NOT_INT
-_SWEEP_COMMON = (["--label-pairs", "2:5", "--oracle-mode", "delta", "--jobs", "1"],
+_SWEEP_COMMON = (["--oracle-mode", "delta", "--jobs", "1", "--repeat", "1"],
                  {"--family": _NOT_CHOICE, "--oracle-mode": _NOT_CHOICE, "--jobs": _NOT_COUNT,
-                  "--label-pairs": _NOT_INT_ITEM.map(lambda s: "2:" + s)})
+                  "--repeat": st.integers(max_value=0) | _NOT_INT,
+                  "--label-pairs": _NOT_INT_ITEM.map(lambda s: "2:" + s),
+                  "--label-range": _NOT_INT_ITEM.map(lambda s: "2:" + s)
+                  | st.tuples(st.integers(-9, 9), st.integers(-9, 9))
+                  .filter(lambda t: t[1] < t[0] + 2).map(lambda t: f"{t[0]}:{t[1]}")})
+# each sweep names its labels one way or the other
+_LABELS = [["--label-pairs", "2:5"], ["--label-range", "2:5"]]
 _SWEEP = [
     (["--family", "caterpillar", "--spine-lengths", "2", "--degrees", "3",
       "--policies", "random", "--seeds", "1"],
@@ -343,8 +381,8 @@ _SWEEP = [
 
 
 def _swap(argv, flags, data):
-    """argv with the value after one flag replaced by a drawn bad value."""
-    flag = data.draw(st.sampled_from(sorted(flags)))
+    """argv with the value after one of its flags replaced by a drawn bad value."""
+    flag = data.draw(st.sampled_from(sorted(f for f in flags if f in argv)))
     argv = list(argv)
     argv[argv.index(flag) + 1] = str(data.draw(flags[flag]))
     return argv
@@ -401,7 +439,8 @@ class TestBadArgumentValues:
     def test_sweep_exits_2(self, fuzz_dir, capsys, data):
         base, flags = data.draw(st.sampled_from(_SWEEP))
         common, common_flags = _SWEEP_COMMON
-        argv = ["sweep"] + base + common + ["--out", str(fuzz_dir / "s.csv")]
+        labels = data.draw(st.sampled_from(_LABELS))
+        argv = ["sweep"] + base + labels + common + ["--out", str(fuzz_dir / "s.csv")]
         argv = _swap(argv, {**flags, **common_flags}, data)
         code, stdout, stderr = _exit_code(argv, capsys)
         assert code == 2, argv

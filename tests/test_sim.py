@@ -122,6 +122,17 @@ class TestReplayCheck:
         problems = replay_check(rows, g)
         assert problems  # move legality and/or continuity must fire
 
+    @pytest.mark.parametrize("node", [99, -1])
+    @pytest.mark.parametrize("field", ["pos1", "pos2", "next1", "next2"])
+    def test_node_outside_graph_is_a_violation(self, node, field):
+        g = generate_ring(6)
+        rows = run(g, 0, 3, rendezvous_program(2), rendezvous_program(3),
+                   SimConfig(round_cap=300)).trace
+        rows[4] = rows[4]._replace(**{field: node})
+        problems = replay_check(rows, g)
+        assert any(p.startswith("row 4: ") and "outside 0..5" in p for p in problems)
+        assert not any("outside" in p for p in problems if not p.startswith("row 4: "))
+
 
 class TestTraceSerialization:
     def test_round_trip(self):
@@ -150,16 +161,34 @@ class TestTraceSerialization:
         assert outs[0] == outs[1]
 
 
+RING6 = generate_ring(6)
+
+
 def _trace_lines() -> list[str]:
-    g = generate_ring(6)
     cfg = SimConfig(round_cap=300)
-    res = run(g, 0, 3, rendezvous_program(2), rendezvous_program(3), cfg)
+    res = run(RING6, 0, 3, rendezvous_program(2), rendezvous_program(3), cfg)
     buf = io.StringIO()
-    write_trace(buf, trace_header(g, 0, 3, 2, 3, cfg), res)
+    write_trace(buf, trace_header(RING6, 0, 3, 2, 3, cfg), res)
     return buf.getvalue().splitlines(keepends=True)
 
 
 TRACE_LINES = _trace_lines()
+
+
+class TestTraceReader:
+    @pytest.mark.parametrize("spell", [
+        lambda rec: json.dumps(dict(reversed(list(rec.items())))),
+        lambda rec: json.dumps(rec, separators=(",", ":")),
+        lambda rec: json.dumps(rec, separators=(" ,  ", " :  ")) + "  ",
+    ], ids=["reordered", "compact", "spaced"])
+    def test_row_spellings_read_alike(self, spell):
+        _, canonical, _ = read_trace(io.StringIO("".join(TRACE_LINES)))
+        lines = [TRACE_LINES[0]]
+        lines += [spell(json.loads(line)) + "\n" for line in TRACE_LINES[1:-1]]
+        lines.append(TRACE_LINES[-1])
+        assert lines[1:-1] != TRACE_LINES[1:-1]
+        _, rows, _ = read_trace(io.StringIO("".join(lines)))
+        assert rows == canonical and len(rows) == len(TRACE_LINES) - 2
 
 
 class TestTraceErrors:
@@ -171,6 +200,16 @@ class TestTraceErrors:
         with pytest.raises(TraceFormatError, match="line 3: .*'next1'") as info:
             read_trace(io.StringIO("".join(lines)))
         assert info.value.line == 3
+
+    @pytest.mark.parametrize("value", [None, True, 2.0, "2"])
+    def test_non_integer_row_field_names_line_and_field(self, value):
+        lines = list(TRACE_LINES)
+        rec = json.loads(lines[4])
+        rec["dist"] = value
+        lines[4] = json.dumps(rec) + "\n"
+        with pytest.raises(TraceFormatError, match="line 5: .*'dist'") as info:
+            read_trace(io.StringIO("".join(lines)))
+        assert info.value.line == 5
 
     def test_non_object_record(self):
         lines = list(TRACE_LINES)
@@ -188,13 +227,16 @@ class TestTraceErrors:
         i = data.draw(st.integers(0, len(lines) - 1), label="line")
         rec = json.loads(lines[i])
         mutation = data.draw(st.sampled_from(
-            ("drop_field", "retype_field", "truncate", "replace", "delete", "json_value")))
+            ("drop_field", "retype_field", "int_field", "truncate", "replace", "delete",
+             "json_value")))
         if mutation == "drop_field":
             del rec[data.draw(st.sampled_from(sorted(rec)))]
             lines[i] = json.dumps(rec) + "\n"
-        elif mutation == "retype_field":
+        elif mutation in ("retype_field", "int_field"):
             key = data.draw(st.sampled_from(sorted(rec)))
-            rec[key] = data.draw(st.none() | st.text(max_size=5) | st.lists(st.integers()))
+            rec[key] = data.draw(st.integers() if mutation == "int_field" else
+                                 st.none() | st.booleans() | st.floats() | st.text(max_size=5)
+                                 | st.lists(st.integers()))
             lines[i] = json.dumps(rec) + "\n"
         elif mutation == "truncate":
             lines[i] = lines[i][:data.draw(st.integers(0, len(lines[i]) - 1))]
@@ -209,6 +251,7 @@ class TestTraceErrors:
                 | st.dictionaries(st.text(max_size=5), inner, max_size=3),
                 max_leaves=8))) + "\n"
         try:
-            read_trace(io.StringIO("".join(lines)))
+            _, rows, _ = read_trace(io.StringIO("".join(lines)))
         except ValueError:
-            pass
+            return
+        assert isinstance(replay_check(rows, RING6), list)
