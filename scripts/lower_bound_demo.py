@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Build the two headline frozen-distance instances and verify them.
 
-The small one enumerates a 2^20 label space explicitly (takes about a
-minute); the large one samples 1024 labels out of 2^64. Both are checked by
+The small one enumerates a 2^20 label space explicitly (takes a few
+seconds); the large one samples 1024 labels out of 2^64. Both are checked by
 actually simulating the built instance and counting the rounds the distance
 stays pinned.
 
@@ -40,7 +40,7 @@ def show(tag, degree, label_space, distance, sample_size, graph_dir):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--skip-explicit", action="store_true",
-                        help="skip the minute-long 2^20 enumeration")
+                        help="skip the 2^20 enumeration (a few seconds)")
     parser.add_argument("--graph-dir", default="",
                         help="also write the numbered graph files here")
     args = parser.parse_args()

@@ -29,8 +29,6 @@ from .oracle import DistanceDelta, DistanceOracle, TooLargeError, all_pairs, bfs
 from .agents import (
     Action,
     AgentProgram,
-    ExtendedLabel,
-    NoDistinguisherError,
     Observation,
     ProcEvent,
     bound_degrees_program,
@@ -39,8 +37,6 @@ from .agents import (
     constant_program,
     default_round_cap,
     degree_class,
-    distinguishing_index,
-    extend_label,
     idle_program,
     label_bit_length,
     rendezvous_program,
@@ -76,7 +72,6 @@ from .adversary import (
     hamiltonian_cycles,
     is_paired_numbering,
     number_butterfly,
-    renumber_caterpillar,
     verify_frozen_distance,
 )
 

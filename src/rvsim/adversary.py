@@ -8,8 +8,7 @@ share a prefix share its simulation), pick the two port pairs the programs use
 most rarely, reserve those pairs for the bridge edges between adjacent
 cliques, and select two labels whose forward/backward/stay patterns agree on a
 long prefix. While the patterns agree the two agents shift columns in unison,
-so every distance reading is useless. Also hosts the spine-last caterpillar
-renumbering that makes ascending port probes pay full price per forward step.
+so every distance reading is useless.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from typing import Callable, Sequence
 
 from .agents import (AgentProgram, Observation, ceil_log2, extended_bit,
                      rendezvous_program)
-from .graphs import (InvalidParamsError, PortGraph, _caterpillar_edges,
-                     _check_butterfly_params, build, butterfly_index)
+from .graphs import (InvalidParamsError, PortGraph, _check_butterfly_params, build,
+                     butterfly_index)
 from .oracle import DistanceOracle
 from .sim import SimConfig, run
 
@@ -391,24 +390,3 @@ def verify_frozen_distance(instance: AdversaryInstance,
             f"distance deviated in round {verified}, before the promised "
             f"{instance.agreement_horizon}")
     return verified
-
-
-# ----------------------------------------------------------------------------
-# caterpillar renumbering (the degree-times-distance adversary)
-# ----------------------------------------------------------------------------
-
-def renumber_caterpillar(graph: PortGraph, spine: Sequence[int],
-                         policy: str = "adversarial", seed: int = 0) -> PortGraph:
-    """Re-assign ports on an existing caterpillar.
-
-    Under ``adversarial`` every spine node gives its highest port to the spine
-    edge pointing at the far half, so an ascending probe walks every leaf
-    before making progress; ``random`` shuffles per node from ``seed``.
-    """
-    spine_set = set(spine)
-    leaves_of = {}
-    for s in spine:
-        leaves_of[s] = [graph.neighbor(s, p)[0] for p in graph.ports(s)
-                        if graph.neighbor(s, p)[0] not in spine_set]
-    edges = _caterpillar_edges(tuple(spine), leaves_of, policy, seed)
-    return build(graph.num_nodes, edges)

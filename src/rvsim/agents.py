@@ -52,31 +52,11 @@ class Observation(NamedTuple):
 Action = int
 
 
-class NoDistinguisherError(ValueError):
-    """Two equal labels have no distinguishing bit."""
-
-
 def label_bit_length(label: int) -> int:
     """Bits of a label, counting label 0 as the one-bit string '0'."""
     if label < 0:
         raise ValueError("labels are non-negative")
     return label.bit_length() or 1
-
-
-@dataclass(frozen=True)
-class ExtendedLabel:
-    """Bit-doubled label: source bits at odd positions, a final 1 bit, zeros
-    elsewhere. Positions are 1-based; ``bit(j)`` reads 0 past the end."""
-
-    label: int
-    bits: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.bits)
-
-    def bit(self, j: int) -> int:
-        return self.bits[j - 1] if 1 <= j <= len(self.bits) else 0
 
 
 def extended_bit(label: int, j: int) -> int | None:
@@ -89,26 +69,6 @@ def extended_bit(label: int, j: int) -> int | None:
     if j % 2:
         return (label >> (k - (j + 1) // 2)) & 1
     return 1 if j == 2 * k else 0
-
-
-def extend_label(label: int) -> ExtendedLabel:
-    k = label_bit_length(label)
-    return ExtendedLabel(label, tuple(extended_bit(label, j) for j in range(1, 2 * k + 1)))
-
-
-def distinguishing_index(e1: ExtendedLabel, e2: ExtendedLabel) -> int:
-    """Least 1-based position where the two extended labels differ.
-
-    Always at most twice the shorter source bit length: equal-length labels
-    differ at some doubled source bit, and unequal lengths put the shorter
-    label's terminating 1 against a structural 0.
-    """
-    if e1.label == e2.label:
-        raise NoDistinguisherError(f"labels are equal ({e1.label})")
-    for j in range(1, max(e1.length, e2.length) + 1):
-        if e1.bit(j) != e2.bit(j):
-            return j
-    raise NoDistinguisherError("distinct labels with identical extended bits")  # unreachable
 
 
 def ceil_log2(x: int) -> int:

@@ -147,6 +147,8 @@ def _sweep_cells(args) -> list[Cell]:
         if len(labels) < 2:
             raise ValueError(f"--label-range {args.label_range} holds no label pair")
         pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    if any(a < 0 or b < 0 for a, b in pairs):
+        raise ValueError("labels must be >= 0")
     names = FAMILIES[args.family].params
     grid = [parse(getattr(args, flag))
             for flag, parse in (_SWEEP_LISTS[name] for name in names)]

@@ -92,13 +92,6 @@ class RunResult:
         return self.outcome == MET
 
 
-def _apply_move(g: PortGraph, pos: int, port: int) -> tuple[int, int]:
-    """Resolve one agent's action: (new position, entry port or 0 on a stay)."""
-    if 1 <= port <= g.degree(pos):
-        return g.neighbor(pos, port)
-    return pos, 0
-
-
 def run(g: PortGraph, start1: int, start2: int,
         prog1: AgentProgram, prog2: AgentProgram,
         cfg: SimConfig | None = None) -> RunResult:
@@ -115,34 +108,41 @@ def run(g: PortGraph, start1: int, start2: int,
     if start1 == start2:
         return RunResult(MET, 0, 0, start1, start2, 0, rows)
 
-    oracle = DistanceOracle(g)
+    adj = g._adj
+    step1, step2 = prog1.step, prog2.step
+    distance = DistanceOracle(g).distance
     exact = cfg.oracle_mode == "exact"
     pos1, pos2 = start1, start2
-    arr1 = arr2 = 0
-    d = oracle.distance(pos1, pos2)
-    prev_d: int | None = None
-    min_d = d
+    ports1, ports2 = adj[pos1], adj[pos2]
+    d = min_d = distance(pos1, pos2)
+    reading = d if exact else DistanceDelta.SAME
+    obs1 = Observation(len(ports1), 0, reading)
+    obs2 = Observation(len(ports2), 0, reading)
+    moved = False  # the last round moved an agent, so obs1/obs2 carry its arrivals
 
     for r in range(cfg.round_cap):
-        if exact:
-            reading: int | DistanceDelta = d
-        else:
-            reading = DistanceDelta.SAME if prev_d is None else delta(prev_d, d)
-        obs1 = Observation(g.degree(pos1), arr1, reading)
-        obs2 = Observation(g.degree(pos2), arr2, reading)
-        port1 = prog1.step(obs1)
-        port2 = prog2.step(obs2)
-        next1, a1 = _apply_move(g, pos1, port1)
-        next2, a2 = _apply_move(g, pos2, port2)
-        nd = oracle.distance(next1, next2)
+        port1 = step1(obs1)
+        port2 = step2(obs2)
+        next1, a1 = ports1[port1 - 1] if 1 <= port1 <= len(ports1) else (pos1, 0)
+        next2, a2 = ports2[port2 - 1] if 1 <= port2 <= len(ports2) else (pos2, 0)
         if keep_rows:
             rows.append(TraceRow(r, pos1, pos2, d, port1, port2, a1, a2, next1, next2))
-        pos1, pos2, arr1, arr2 = next1, next2, a1, a2
-        prev_d, d = d, nd
-        if nd < min_d:
-            min_d = nd
-        if pos1 == pos2:
-            return RunResult(MET, r, r + 1, pos1, pos2, min_d, rows)
+        if a1 or a2:  # an entry port is >= 1, so some agent moved
+            nd = distance(next1, next2)
+            if next1 == next2:
+                return RunResult(MET, r, r + 1, next1, next2, 0, rows)
+            if nd < min_d:
+                min_d = nd
+            reading = nd if exact else delta(d, nd)
+            pos1, pos2, ports1, ports2 = next1, next2, adj[next1], adj[next2]
+            obs1 = Observation(len(ports1), a1, reading)
+            obs2 = Observation(len(ports2), a2, reading)
+            d, moved = nd, True
+        elif moved:  # the first round with no move: arrivals read 0, the distance holds
+            reading = d if exact else DistanceDelta.SAME
+            obs1 = Observation(len(ports1), 0, reading)
+            obs2 = Observation(len(ports2), 0, reading)
+            moved = False
 
     return RunResult(CAP, None, cfg.round_cap, pos1, pos2, min_d, rows)
 

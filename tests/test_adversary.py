@@ -25,7 +25,6 @@ from rvsim import (
     hamiltonian_cycles,
     is_paired_numbering,
     number_butterfly,
-    renumber_caterpillar,
     rendezvous_program,
     run,
     verify_frozen_distance,
@@ -314,15 +313,13 @@ class TestBuildInstance:
 
 class TestCaterpillarAdversary:
     def test_forward_spine_edge_gets_highest_port(self):
-        cat = generate_caterpillar(2, 4)
-        g = renumber_caterpillar(cat.graph, cat.spine, policy="adversarial")
+        g = generate_caterpillar(2, 4, policy="adversarial").graph
         assert g.neighbor(0, 4)[0] == 1
         assert g.neighbor(2, 4)[0] == 1
 
     def test_random_policy_valid_and_deterministic(self):
-        cat = generate_caterpillar(3, 5)
-        a = renumber_caterpillar(cat.graph, cat.spine, policy="random", seed=4)
-        b = renumber_caterpillar(cat.graph, cat.spine, policy="random", seed=4)
+        a = generate_caterpillar(3, 5, policy="random", seed=4).graph
+        b = generate_caterpillar(3, 5, policy="random", seed=4).graph
         assert a == b
 
     @pytest.mark.parametrize("d,degree", [(2, 4), (4, 4), (2, 8)])

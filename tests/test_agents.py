@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,6 @@ from hypothesis import given, strategies as st
 from rvsim import (
     CAP,
     MET,
-    NoDistinguisherError,
     SimConfig,
     bound_degrees_program,
     build,
@@ -14,8 +14,6 @@ from rvsim import (
     compare_labels_program,
     constant_program,
     degree_class,
-    distinguishing_index,
-    extend_label,
     generate_caterpillar,
     generate_random_connected,
     generate_ring,
@@ -33,6 +31,17 @@ PATH3 = build(3, [(0, 1, 1, 1), (1, 2, 2, 1)])
 EDGE = build(2, [(0, 1, 1, 1)])
 
 
+def _extended_bits(label):
+    """The whole extended label, read through extended_bit up to its end."""
+    return tuple(itertools.takewhile(lambda b: b is not None,
+                                     (extended_bit(label, j) for j in itertools.count(1))))
+
+
+def _first_differing_bit(l1, l2):
+    """Least 1-based position where the extended bits of two distinct labels differ."""
+    return next(j for j in itertools.count(1) if extended_bit(l1, j) != extended_bit(l2, j))
+
+
 class TestExtendedLabels:
     @pytest.mark.parametrize("label,bits", [
         (1, (1, 1)),
@@ -42,36 +51,34 @@ class TestExtendedLabels:
         (3, (1, 0, 1, 1)),
     ])
     def test_examples(self, label, bits):
-        assert extend_label(label).bits == bits
+        assert _extended_bits(label) == bits
 
     def test_distinguishing_examples(self):
-        assert distinguishing_index(extend_label(2), extend_label(5)) == 4
-        assert distinguishing_index(extend_label(2), extend_label(3)) == 3
-        assert distinguishing_index(extend_label(0), extend_label(1)) == 1
-
-    def test_equal_labels_have_no_distinguisher(self):
-        with pytest.raises(NoDistinguisherError):
-            distinguishing_index(extend_label(7), extend_label(7))
+        assert _first_differing_bit(2, 5) == 4
+        assert _first_differing_bit(2, 3) == 3
+        assert _first_differing_bit(0, 1) == 1
 
     @given(st.integers(0, 1 << 20), st.integers(0, 1 << 20))
     def test_distinguisher_within_twice_shorter_length(self, l1, l2):
         if l1 == l2:
             return
-        j = distinguishing_index(extend_label(l1), extend_label(l2))
+        j = _first_differing_bit(l1, l2)
         assert 1 <= j <= 2 * min(label_bit_length(l1), label_bit_length(l2))
 
     @given(st.integers(0, 1 << 30), st.integers(1, 70))
     def test_extended_bit_reads_the_extended_label(self, label, j):
-        ext = extend_label(label)
-        assert extended_bit(label, j) == (ext.bits[j - 1] if j <= ext.length else None)
+        # each source bit followed by a 0, then the last 0 turned into the end marker
+        bits = [int(c) for b in format(label, "b") for c in (b, "0")]
+        bits[-1] = 1
+        assert extended_bit(label, j) == (bits[j - 1] if j <= len(bits) else None)
 
     @given(st.integers(0, 1 << 30))
     def test_shape(self, label):
-        ext = extend_label(label)
+        bits = _extended_bits(label)
         k = label_bit_length(label)
-        assert ext.length == 2 * k
-        assert ext.bits[-1] == 1  # terminating bit
-        assert all(ext.bits[j - 1] == 0 for j in range(2, 2 * k, 2))
+        assert len(bits) == 2 * k
+        assert bits[-1] == 1  # terminating bit
+        assert all(bits[j - 1] == 0 for j in range(2, 2 * k, 2))
 
 
 class TestTestPorts:
@@ -165,7 +172,7 @@ class TestCompareLabels:
         x2 = [e for e in p2.events if e.proc == "compare_labels" and e.kind == "exit"][0]
         assert x1.round == x2.round
         assert x1.info[1] == x2.info[1] == expect_index
-        assert distinguishing_index(extend_label(l1), extend_label(l2)) == expect_index
+        assert _first_differing_bit(l1, l2) == expect_index
 
     def test_fall_through_in_frozen_world(self):
         # drive the program through a paired-port world whose distance never

@@ -162,12 +162,14 @@ class TestSweep:
         pytest.param("--repeat", "-2", "--repeat must be >= 1", id="--repeat=-2"),
         pytest.param("--label-range", "4:2", "--label-range 4:2 holds no label pair",
                      id="--label-range=4:2"),
+        pytest.param("--label-range", "-3:0", "labels must be >= 0", id="--label-range=-3:0"),
+        pytest.param("--label-pairs", "-1:2", "labels must be >= 0", id="--label-pairs=-1:2"),
     ])
     def test_negative_count_exit_2(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "neg.csv"
-        labels = [] if flag == "--label-range" else ["--label-pairs", "2:5"]
+        labels = [] if flag.startswith("--label") else ["--label-pairs", "2:5"]
         code = main(["sweep", "--family", "ring", "--sizes", "6", *labels,
-                     flag, value, "--out", str(out)])
+                     f"{flag}={value}", "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == "" and message in captured.err
@@ -359,10 +361,13 @@ _NOT_COUNT = st.integers(max_value=-1) | _NOT_INT
 _SWEEP_COMMON = (["--oracle-mode", "delta", "--jobs", "1", "--repeat", "1"],
                  {"--family": _NOT_CHOICE, "--oracle-mode": _NOT_CHOICE, "--jobs": _NOT_COUNT,
                   "--repeat": st.integers(max_value=0) | _NOT_INT,
-                  "--label-pairs": _NOT_INT_ITEM.map(lambda s: "2:" + s),
+                  "--label-pairs": _NOT_INT_ITEM.map(lambda s: "2:" + s)
+                  | st.tuples(st.integers(max_value=-1), st.integers(0, 9))
+                  .flatmap(st.permutations).map(lambda t: f"{t[0]}:{t[1]}"),
                   "--label-range": _NOT_INT_ITEM.map(lambda s: "2:" + s)
                   | st.tuples(st.integers(-9, 9), st.integers(-9, 9))
-                  .filter(lambda t: t[1] < t[0] + 2).map(lambda t: f"{t[0]}:{t[1]}")})
+                  .filter(lambda t: t[1] < t[0] + 2 or t[0] < 0)
+                  .map(lambda t: f"{t[0]}:{t[1]}")})
 # each sweep names its labels one way or the other
 _LABELS = [["--label-pairs", "2:5"], ["--label-range", "2:5"]]
 _SWEEP = [
@@ -381,10 +386,12 @@ _SWEEP = [
 
 
 def _swap(argv, flags, data):
-    """argv with the value after one of its flags replaced by a drawn bad value."""
+    """argv with one of its flags given a drawn bad value, as ``--flag=value``
+    so that a value starting with ``-`` reaches the flag's own check."""
     flag = data.draw(st.sampled_from(sorted(f for f in flags if f in argv)))
     argv = list(argv)
-    argv[argv.index(flag) + 1] = str(data.draw(flags[flag]))
+    i = argv.index(flag)
+    argv[i:i + 2] = [f"{flag}={data.draw(flags[flag])}"]
     return argv
 
 

@@ -7,12 +7,18 @@ from hypothesis import given, strategies as st
 from rvsim import (
     CAP,
     MET,
+    DistanceDelta,
+    DistanceOracle,
     InvalidStartError,
+    Observation,
+    RunResult,
     SimConfig,
     TraceFormatError,
     TraceRow,
     build,
     constant_program,
+    default_round_cap,
+    delta,
     generate_random_connected,
     generate_ring,
     idle_program,
@@ -23,6 +29,8 @@ from rvsim import (
     trace_header,
     write_trace,
 )
+from rvsim.acceptance import farthest_node, upper_bound_corpus
+from rvsim.graphs import materialize
 
 EDGE = build(2, [(0, 1, 1, 1)])
 
@@ -255,3 +263,114 @@ class TestTraceErrors:
         except ValueError:
             return
         assert isinstance(replay_check(rows, RING6), list)
+
+
+# ----------------------------------------------------------------------------
+# reference engine: the plain per-round loop, with one move resolution, one
+# oracle query and fresh observations every round; run() must agree with it
+# ----------------------------------------------------------------------------
+
+def _apply_move(g, pos, port):
+    """Resolve one agent's action: (new position, entry port or 0 on a stay)."""
+    if 1 <= port <= g.degree(pos):
+        return g.neighbor(pos, port)
+    return pos, 0
+
+
+def _reference_run(g, start1, start2, prog1, prog2, cfg):
+    keep_rows = cfg.trace_detail == "full"
+    rows = [] if keep_rows else None
+    if start1 == start2:
+        return RunResult(MET, 0, 0, start1, start2, 0, rows)
+    oracle = DistanceOracle(g)
+    exact = cfg.oracle_mode == "exact"
+    pos1, pos2 = start1, start2
+    arr1 = arr2 = 0
+    d = oracle.distance(pos1, pos2)
+    prev_d = None
+    min_d = d
+    for r in range(cfg.round_cap):
+        if exact:
+            reading = d
+        else:
+            reading = DistanceDelta.SAME if prev_d is None else delta(prev_d, d)
+        port1 = prog1.step(Observation(g.degree(pos1), arr1, reading))
+        port2 = prog2.step(Observation(g.degree(pos2), arr2, reading))
+        next1, a1 = _apply_move(g, pos1, port1)
+        next2, a2 = _apply_move(g, pos2, port2)
+        nd = oracle.distance(next1, next2)
+        if keep_rows:
+            rows.append(TraceRow(r, pos1, pos2, d, port1, port2, a1, a2, next1, next2))
+        pos1, pos2, arr1, arr2 = next1, next2, a1, a2
+        prev_d, d = d, nd
+        if nd < min_d:
+            min_d = nd
+        if pos1 == pos2:
+            return RunResult(MET, r, r + 1, pos1, pos2, min_d, rows)
+    return RunResult(CAP, None, cfg.round_cap, pos1, pos2, min_d, rows)
+
+
+def _assert_matches_reference(g, start1, start2, make1, make2, cfg):
+    """Run fresh programs from the two factories through both engines and
+    compare every RunResult field (trace rows included), the rounds each
+    program saw, and its events."""
+    outs = []
+    for engine in (run, _reference_run):
+        progs = make1(), make2()
+        res = engine(g, start1, start2, *progs, cfg)
+        outs.append((res, [(p.rounds_seen, p.events) for p in progs]))
+    assert outs[0] == outs[1]
+    return outs[1][0]
+
+
+def _strategy(label):
+    return lambda: rendezvous_program(label, record_events=True)
+
+
+class TestMatchesReferenceEngine:
+    @pytest.mark.parametrize("mode", ["exact", "delta"])
+    def test_corpus_cells(self, mode):
+        cells = upper_bound_corpus()
+        assert len(cells) == 242
+        for cell in cells:
+            g = materialize(cell.family, dict(cell.params))
+            start2 = cell.start2 if cell.start2 >= 0 else farthest_node(g, cell.start1)
+            cap = default_round_cap(g.max_degree, DistanceOracle(g).distance(cell.start1, start2),
+                                    cell.label1, cell.label2)
+            res = _assert_matches_reference(
+                g, cell.start1, start2, _strategy(cell.label1), _strategy(cell.label2),
+                SimConfig(round_cap=cap, oracle_mode=mode))
+            assert res.outcome == MET
+
+    @given(st.integers(2, 30), st.integers(2, 6), st.integers(0, 10 ** 6),
+           st.integers(0, 40), st.integers(0, 40), st.sampled_from(["exact", "delta"]),
+           st.data())
+    def test_random_graphs_and_caps(self, n, max_degree, seed, label1, label2, mode, data):
+        g = generate_random_connected(n, max_degree, seed)
+        start1 = data.draw(st.integers(0, n - 1), label="start1")
+        start2 = data.draw(st.integers(0, n - 1), label="start2")
+        full = _reference_run(g, start1, start2, rendezvous_program(label1),
+                              rendezvous_program(label2),
+                              SimConfig(round_cap=5000, oracle_mode=mode))
+        # a cap right after a round that follows a round with no move ends the
+        # run inside an idle sweep
+        idle_ends = [row.round + 1 for prev, row in zip(full.trace, full.trace[1:])
+                     if prev.arrival1 == prev.arrival2 == row.arrival1 == row.arrival2 == 0]
+        caps = st.integers(1, full.rounds + 2)
+        if idle_ends:
+            caps |= st.sampled_from(idle_ends)
+        cap = data.draw(caps, label="round_cap")
+        _assert_matches_reference(g, start1, start2, _strategy(label1), _strategy(label2),
+                                  SimConfig(round_cap=cap, oracle_mode=mode))
+
+    @pytest.mark.parametrize("mode", ["exact", "delta"])
+    def test_stub_programs(self, mode):
+        g = generate_random_connected(12, 4, seed=5)
+        stubs = {"idle": idle_program, "strategy": _strategy(6)}
+        for p in (0, -1, 1, 2, g.max_degree + 5):
+            stubs[f"constant({p})"] = lambda p=p: constant_program(p)
+        for name1, make1 in stubs.items():
+            for name2, make2 in stubs.items():
+                for cap in (1, 2, 7, 300):
+                    _assert_matches_reference(g, 0, 11, make1, make2,
+                                              SimConfig(round_cap=cap, oracle_mode=mode))
