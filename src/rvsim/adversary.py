@@ -179,22 +179,33 @@ def find_label_pair(sequences: Sequence[PortSequence], degree: int,
     """Label pair whose class strings share the longest common prefix.
 
     Returns ``(label1, label2, prefix_length)`` with label1 < label2. The
-    maximum is found by sorting the class strings and scanning neighbours;
-    ties resolve to the first sorted position.
+    maximum is found as if the ``(class string, label)`` pairs were sorted and
+    neighbours scanned; ties resolve to the first sorted position. Labels are
+    grouped by class string first, each distinct port sequence translated
+    once: a group of two or more agrees on its whole string, and a group
+    boundary pairs the previous group's largest label with the next's
+    smallest.
     """
     if len(sequences) < 2:
         raise InvalidParamsError("need at least two labels to pair")
     table = class_table(degree, p1, p2)
-    keyed = sorted((seq.ports.translate(table), seq.label) for seq in sequences)
+    classes = {ports: ports.translate(table) for ports in {seq.ports for seq in sequences}}
+    groups: dict[bytes, list[int]] = {}
+    for seq in sequences:
+        groups.setdefault(classes[seq.ports], []).append(seq.label)
     best_len, best_pair = -1, (0, 0)
-    for (sa, la), (sb, lb) in zip(keyed, keyed[1:]):
-        if sa == sb:
-            lcp = len(sa)
-        else:
-            lcp = next(i for i, (x, y) in enumerate(zip(sa, sb)) if x != y)
-        if lcp > best_len:
-            best_len = lcp
-            best_pair = (min(la, lb), max(la, lb))
+    prev: tuple[bytes, int] | None = None  # previous group's string and largest label
+    for s in sorted(groups):
+        labels = sorted(groups[s])
+        if prev is not None:
+            ps, pl = prev
+            lcp = next((i for i, (x, y) in enumerate(zip(ps, s)) if x != y),
+                       min(len(ps), len(s)))
+            if lcp > best_len:
+                best_len, best_pair = lcp, (min(pl, labels[0]), max(pl, labels[0]))
+        if len(labels) > 1 and len(s) > best_len:
+            best_len, best_pair = len(s), (labels[0], labels[1])
+        prev = s, labels[-1]
     return best_pair[0], best_pair[1], best_len
 
 

@@ -149,13 +149,22 @@ def run(g: PortGraph, start1: int, start2: int,
 
 def replay_check(rows: Iterable[TraceRow], g: PortGraph) -> list[str]:
     """Re-validate a full trace against the graph: node ranges, move legality,
-    exact distances, and position continuity. Returns violation descriptions."""
+    exact distances, and position continuity. Returns violation descriptions.
+
+    A row whose last nine fields repeat those of a clean row in which neither
+    agent moved passes every check the same way, so it is skipped."""
     violations = []
     oracle = DistanceOracle(g)
     n = g.num_nodes
     before: tuple[int, int] | None = None  # previous row's (next1, next2)
     prev_dist = 0
-    for rnd, pos1, pos2, dist, port1, port2, arr1, arr2, next1, next2 in rows:
+    quiet = None  # the previous row's last nine fields, if it was clean and moved no agent
+    for row in rows:
+        rest = row[1:]
+        if rest == quiet:
+            continue
+        quiet, found = None, len(violations)
+        rnd, pos1, pos2, dist, port1, port2, arr1, arr2, next1, next2 = row
         if before is not None:
             if before != (pos1, pos2):
                 violations.append(f"row {rnd}: start positions ({pos1}, {pos2}) "
@@ -182,6 +191,8 @@ def replay_check(rows: Iterable[TraceRow], g: PortGraph) -> list[str]:
                 violations.append(
                     f"row {rnd}: agent {who} had stay action {port} "
                     f"but moved {pos} -> {nxt} (arrival {arr})")
+        if len(violations) == found and next1 == pos1 and next2 == pos2:
+            quiet = rest
     return violations
 
 
@@ -190,13 +201,17 @@ def replay_check(rows: Iterable[TraceRow], g: PortGraph) -> list[str]:
 # and a result record; field order is fixed so traces diff cleanly.
 # ----------------------------------------------------------------------------
 
-# A row record as json.dumps spells it for integer fields. The writer fills it
-# in; the reader matches it with each field a JSON integer of at most 18
-# digits and sends every other line, longer numbers included, to json.loads.
-_ROW_LINE = ('{"kind": "row", ' + ", ".join(f'"{f}": %d' for f in TraceRow._fields)
-             + "}\n")
-_match_row_line = re.compile(re.escape(_ROW_LINE[:-1]).replace(
-    "%d", "(-?(?:0|[1-9][0-9]{0,17}))") + "\n?").fullmatch
+# A row record as json.dumps spells it for integer fields, split after the
+# round: idle rounds repeat the previous row's tail, so the writer renders a
+# tail only when it changes and the reader parses a repeated tail only once.
+# The reader matches each field as a JSON integer of at most 18 digits and
+# sends every other line, longer numbers included, to json.loads.
+_ROW_HEAD = '{"kind": "row", "round": '
+_ROW_TAIL = "".join(f', "{f}": %d' for f in TraceRow._fields[1:]) + "}\n"
+_FIELD = "-?(?:0|[1-9][0-9]{0,17})"
+_match_row_line = re.compile(re.escape(_ROW_HEAD + "%d" + _ROW_TAIL[:-1]).replace(
+    "%d", f"({_FIELD})") + "\n?").fullmatch
+_match_field = re.compile(_FIELD).fullmatch
 
 
 def trace_header(g: PortGraph, start1: int, start2: int,
@@ -216,7 +231,7 @@ def trace_header(g: PortGraph, start1: int, start2: int,
 
 def write_trace(fh: IO[str], header: dict, result: RunResult) -> None:
     fh.write(json.dumps(header) + "\n")
-    fh.writelines(_ROW_LINE % row for row in result.trace or ())
+    fh.writelines(_row_lines(result.trace or ()))
     fh.write(json.dumps({
         "kind": "result",
         "outcome": result.outcome,
@@ -228,14 +243,36 @@ def write_trace(fh: IO[str], header: dict, result: RunResult) -> None:
     }) + "\n")
 
 
+def _row_lines(rows: Iterable[TraceRow]) -> Iterable[str]:
+    """Template lines for ``rows``, rendering each distinct run of tails once."""
+    head = _ROW_HEAD + "%d"
+    last = tail = None
+    for row in rows:
+        rest = row[1:]
+        if rest != last:
+            last, tail = rest, _ROW_TAIL % rest
+        yield head % row[0] + tail
+
+
 def read_trace(fh: IO[str]) -> tuple[dict, list[TraceRow], dict]:
     header: dict | None = None
     rows: list[TraceRow] = []
     result: dict | None = None
+    # the last template-matched line after its round token, and its last nine fields
+    tail, rest, cut = None, (), 0
+    start = len(_ROW_HEAD)
     for lineno, line in enumerate(fh, start=1):
+        if tail is not None and line.endswith(tail) and line.startswith(_ROW_HEAD):
+            middle = line[start:cut]
+            if _match_field(middle):
+                rows.append(TraceRow._make((int(middle),) + rest))
+                continue
         m = _match_row_line(line)
         if m:
-            rows.append(TraceRow._make(map(int, m.groups())))
+            row = TraceRow._make(map(int, m.groups()))
+            rows.append(row)
+            tail, rest = line[m.end(1):], row[1:]
+            cut = -len(tail)
             continue
         if not line.strip():
             continue

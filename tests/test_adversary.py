@@ -29,7 +29,7 @@ from rvsim import (
     run,
     verify_frozen_distance,
 )
-from rvsim.adversary import default_extraction_horizon
+from rvsim.adversary import class_table, default_extraction_horizon
 
 
 class TestExtraction:
@@ -172,6 +172,37 @@ class TestFindLabelPair:
             best = max(best, lcp)
         _, _, t_star = find_label_pair(seqs, degree, 2, 3)
         assert t_star == best
+
+    def test_proper_prefix_agrees_on_the_shorter_length(self):
+        seqs = [PortSequence(1, b"\x01\x02"), PortSequence(2, b"\x01\x02\x03")]
+        assert find_label_pair(seqs, 8, 1, 2) == (1, 2, 2)
+
+    def test_ties_resolve_to_the_first_sorted_group(self):
+        # class strings AB (labels 7, 9) and BA (labels 1, 2) agree in full
+        seqs = [PortSequence(1, bytes([8, 1])), PortSequence(9, bytes([1, 8])),
+                PortSequence(2, bytes([8, 2])), PortSequence(7, bytes([2, 7]))]
+        assert find_label_pair(seqs, 8, 1, 2) == (7, 9, 2)
+
+    @given(st.sampled_from([4, 6, 8]), st.data())
+    def test_matches_sorted_scan_reference(self, degree, data):
+        """Grouping by class string picks the same pair, ties included, as
+        sorting every (class string, label) pair and scanning neighbours."""
+        length = data.draw(st.integers(0, 4), label="length")
+        pool = data.draw(st.lists(st.binary(min_size=length, max_size=length + 1).map(
+            lambda b: bytes(x % (degree + 1) for x in b)), min_size=1, max_size=5))
+        labels = data.draw(st.lists(st.integers(0, 40), min_size=2, max_size=24))
+        seqs = [PortSequence(lab, data.draw(st.sampled_from(pool))) for lab in labels]
+        p1, p2 = sorted(data.draw(st.lists(st.integers(1, degree // 2), min_size=2,
+                                           max_size=2, unique=True)))
+        table = class_table(degree, p1, p2)
+        keyed = sorted((seq.ports.translate(table), seq.label) for seq in seqs)
+        best_len, best_pair = -1, (0, 0)
+        for (sa, la), (sb, lb) in zip(keyed, keyed[1:]):
+            lcp = next((i for i, (x, y) in enumerate(zip(sa, sb)) if x != y),
+                       min(len(sa), len(sb)))
+            if lcp > best_len:
+                best_len, best_pair = lcp, (min(la, lb), max(la, lb))
+        assert find_label_pair(seqs, degree, p1, p2) == (*best_pair, best_len)
 
 
 class TestNumbering:

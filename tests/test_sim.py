@@ -1,5 +1,7 @@
 import io
 import json
+import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -16,12 +18,14 @@ from rvsim import (
     TraceFormatError,
     TraceRow,
     build,
+    butterfly_index,
     constant_program,
     default_round_cap,
     delta,
     generate_random_connected,
     generate_ring,
     idle_program,
+    number_butterfly,
     read_trace,
     rendezvous_program,
     replay_check,
@@ -183,6 +187,22 @@ def _trace_lines() -> list[str]:
 TRACE_LINES = _trace_lines()
 
 
+def _row_tail(line: str) -> str:
+    """A row line after its round token."""
+    return line.split(", ", 2)[2]
+
+
+def _with_round_token(line: str, token: str) -> str:
+    rnd = json.loads(line)["round"]
+    return line.replace(f'"round": {rnd},', f'"round": {token},', 1)
+
+
+# indices of row lines whose tail repeats the line before's, and of the others
+REPEATED = [i for i in range(2, len(TRACE_LINES) - 1)
+            if _row_tail(TRACE_LINES[i]) == _row_tail(TRACE_LINES[i - 1])]
+FRESH = [i for i in range(1, len(TRACE_LINES) - 1) if i not in REPEATED]
+
+
 class TestTraceReader:
     @pytest.mark.parametrize("spell", [
         lambda rec: json.dumps(dict(reversed(list(rec.items())))),
@@ -236,8 +256,12 @@ class TestTraceErrors:
         rec = json.loads(lines[i])
         mutation = data.draw(st.sampled_from(
             ("drop_field", "retype_field", "int_field", "truncate", "replace", "delete",
-             "json_value")))
-        if mutation == "drop_field":
+             "json_value", "round_only")))
+        if mutation == "round_only":
+            i = data.draw(st.sampled_from(REPEATED), label="repeated-tail line")
+            lines[i] = _with_round_token(lines[i], data.draw(
+                st.text(max_size=6) | st.integers().map(str), label="round token"))
+        elif mutation == "drop_field":
             del rec[data.draw(st.sampled_from(sorted(rec)))]
             lines[i] = json.dumps(rec) + "\n"
         elif mutation in ("retype_field", "int_field"):
@@ -374,3 +398,203 @@ class TestMatchesReferenceEngine:
                 for cap in (1, 2, 7, 300):
                     _assert_matches_reference(g, 0, 11, make1, make2,
                                               SimConfig(round_cap=cap, oracle_mode=mode))
+
+
+# ----------------------------------------------------------------------------
+# reference trace I/O: one full template render per row, one full regex match
+# per line and every check on every row; write_trace, read_trace and
+# replay_check must agree with them
+# ----------------------------------------------------------------------------
+
+_REF_ROW_LINE = ('{"kind": "row", ' + ", ".join(f'"{f}": %d' for f in TraceRow._fields)
+                 + "}\n")
+_ref_match_row_line = re.compile(re.escape(_REF_ROW_LINE[:-1]).replace(
+    "%d", "(-?(?:0|[1-9][0-9]{0,17}))") + "\n?").fullmatch
+
+
+def _reference_write(fh, header, result):
+    fh.write(json.dumps(header) + "\n")
+    fh.writelines(_REF_ROW_LINE % row for row in result.trace or ())
+    fh.write(json.dumps({
+        "kind": "result",
+        "outcome": result.outcome,
+        "met_round": result.met_round,
+        "rounds": result.rounds,
+        "final1": result.final1,
+        "final2": result.final2,
+        "min_distance": result.min_distance,
+    }) + "\n")
+
+
+def _reference_read(fh):
+    header = result = None
+    rows = []
+    for lineno, line in enumerate(fh, start=1):
+        m = _ref_match_row_line(line)
+        if m:
+            rows.append(TraceRow._make(map(int, m.groups())))
+            continue
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise TraceFormatError(f"not JSON ({exc})", lineno) from None
+        if not isinstance(rec, dict):
+            raise TraceFormatError("record is not a JSON object", lineno)
+        kind = rec.get("kind")
+        if kind == "header":
+            header = rec
+        elif kind == "row":
+            for name in TraceRow._fields:
+                if name not in rec:
+                    raise TraceFormatError(f"row record missing field {name!r}", lineno)
+                if type(rec[name]) is not int:
+                    raise TraceFormatError(f"row field {name!r} is not an integer", lineno)
+            rows.append(TraceRow._make(rec[name] for name in TraceRow._fields))
+        elif kind == "result":
+            result = rec
+    if header is None or result is None:
+        raise TraceFormatError("trace missing header or result record")
+    return header, rows, result
+
+
+def _reference_replay(rows, g):
+    violations = []
+    oracle = DistanceOracle(g)
+    n = g.num_nodes
+    before = None
+    prev_dist = 0
+    for rnd, pos1, pos2, dist, port1, port2, arr1, arr2, next1, next2 in rows:
+        if before is not None:
+            if before != (pos1, pos2):
+                violations.append(f"row {rnd}: start positions ({pos1}, {pos2}) "
+                                  f"break continuity with {before}")
+            if abs(dist - prev_dist) > 2:
+                violations.append(f"row {rnd}: distance jumped {prev_dist} -> {dist}")
+        before, prev_dist = (next1, next2), dist
+        if not (0 <= pos1 < n and 0 <= pos2 < n and 0 <= next1 < n and 0 <= next2 < n):
+            violations.append(f"row {rnd}: positions ({pos1}, {pos2}) -> ({next1}, {next2}) "
+                              f"outside 0..{n - 1}")
+            continue
+        true_d = oracle.distance(pos1, pos2)
+        if dist != true_d:
+            violations.append(f"row {rnd}: recorded distance {dist}, actual {true_d}")
+        for who, pos, port, arr, nxt in ((1, pos1, port1, arr1, next1),
+                                         (2, pos2, port2, arr2, next2)):
+            if 1 <= port <= g.degree(pos):
+                w, q = g.neighbor(pos, port)
+                if (nxt, arr) != (w, q):
+                    violations.append(
+                        f"row {rnd}: agent {who} took port {port} from {pos} "
+                        f"but landed ({nxt}, arrival {arr}) instead of ({w}, {q})")
+            elif nxt != pos or arr != 0:
+                violations.append(
+                    f"row {rnd}: agent {who} had stay action {port} "
+                    f"but moved {pos} -> {nxt} (arrival {arr})")
+    return violations
+
+
+def _read_or_error(reader, lines):
+    try:
+        return reader(lines)
+    except TraceFormatError as exc:
+        return "error", exc.line
+
+
+def _butterfly_trace(prefix_bits):
+    """The longrun shape: number_butterfly(13, 8, 1, 2), starts 4 columns
+    apart, and two labels that share a random ``prefix_bits``-bit prefix."""
+    g = number_butterfly(13, 8, 1, 2)
+    prefix = random.Random(0).getrandbits(prefix_bits) | (1 << (prefix_bits - 1))
+    res = run(g, butterfly_index(13, 0, 0), butterfly_index(13, 0, 4),
+              rendezvous_program(prefix << 1), rendezvous_program((prefix << 1) | 1),
+              SimConfig(round_cap=10 ** 6))
+    assert res.outcome == MET
+    return g, res.trace
+
+
+BUTTERFLY, BUTTERFLY_ROWS = _butterfly_trace(16)
+
+_FIELD_VALUES = (st.integers() | st.integers(-3, 3) | st.booleans()
+                 | st.sampled_from([10 ** 17, 10 ** 18 - 1, -(10 ** 18 - 1)]))
+
+
+@st.composite
+def _rows_with_repeated_tails(draw):
+    tails = draw(st.lists(st.tuples(*[_FIELD_VALUES] * 9), min_size=1, max_size=4))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        tail = draw(st.sampled_from(tails))
+        rounds = draw(st.lists(_FIELD_VALUES, min_size=1, max_size=25))
+        rows += [TraceRow(rnd, *tail) for rnd in rounds]
+    return rows
+
+
+class TestMatchesReferenceTraceIO:
+    @given(_rows_with_repeated_tails())
+    def test_writer_bytes(self, rows):
+        result = RunResult(CAP, None, len(rows), 0, 1, 1, rows)
+        header = trace_header(RING6, 0, 3, 2, 3, SimConfig())
+        outs = []
+        for writer in (write_trace, _reference_write):
+            buf = io.StringIO()
+            writer(buf, header, result)
+            outs.append(buf.getvalue())
+        assert outs[0] == outs[1]
+        assert (_read_or_error(read_trace, io.StringIO(outs[0]))
+                == _read_or_error(_reference_read, io.StringIO(outs[0])))
+
+    @pytest.mark.parametrize("token", [
+        "01", "-0", "+1", " 1", "1.0", "1_0", "\u0661", "1" * 19, "", None,
+    ], ids=["leading-zero", "minus-zero", "plus", "space", "float", "underscore",
+            "arabic-indic", "19-digits", "empty", "no-newline"])
+    @pytest.mark.parametrize("which", ["repeated", "fresh"])
+    def test_reader_round_token(self, token, which):
+        """Mutate one row's round token (or drop its newline) and read the
+        trace as a list of lines and as one text: rows or the error line
+        must equal the reference reader's."""
+        lines = list(TRACE_LINES)
+        i = (REPEATED if which == "repeated" else FRESH)[1]
+        lines[i] = lines[i][:-1] if token is None else _with_round_token(lines[i], token)
+        assert lines[i] != TRACE_LINES[i]
+        for source in (lambda: list(lines), lambda: io.StringIO("".join(lines))):
+            assert (_read_or_error(read_trace, source())
+                    == _read_or_error(_reference_read, source()))
+
+    @pytest.mark.parametrize("head", [
+        '{"kind": "rox", "round": ', '{"kind": "row","round": ', ' {"kind": "row", "round": ',
+    ], ids=["other-kind", "compact", "indented"])
+    def test_reader_row_head(self, head):
+        """A line that ends like the row before it but starts otherwise reads
+        as the reference reader reads it."""
+        lines = list(TRACE_LINES)
+        i = REPEATED[-1]
+        assert json.loads(lines[i])["round"] >= 10
+        lines[i] = head + lines[i].split(": ", 2)[2]
+        assert (_read_or_error(read_trace, io.StringIO("".join(lines)))
+                == _read_or_error(_reference_read, io.StringIO("".join(lines))))
+
+    def test_longrun_shaped_trace_replays_clean(self):
+        g, rows = _butterfly_trace(40)
+        assert len(rows) > 5000
+        assert replay_check(rows, g) == _reference_replay(rows, g) == []
+
+    @given(st.data())
+    def test_replay_of_mutated_traces(self, data):
+        rows = list(BUTTERFLY_ROWS)
+        for _ in range(data.draw(st.integers(1, 4), label="mutations")):
+            mutation = data.draw(st.sampled_from(["perturb", "violate_and_repeat",
+                                                  "repeat_move"]))
+            if mutation == "repeat_move":
+                i = data.draw(st.sampled_from(
+                    [k for k, row in enumerate(rows) if row.arrival1 or row.arrival2]))
+            else:
+                i = data.draw(st.integers(0, len(rows) - 1), label="row")
+                name = data.draw(st.sampled_from(TraceRow._fields), label="field")
+                rows[i] = rows[i]._replace(**{name: rows[i][TraceRow._fields.index(name)]
+                                              + data.draw(st.sampled_from([-2, -1, 1, 200]))})
+            if mutation != "perturb":
+                # the same row again right after it, under a new round
+                rows.insert(i + 1, rows[i]._replace(round=data.draw(st.integers(-5, 10 ** 6))))
+        assert replay_check(rows, BUTTERFLY) == _reference_replay(rows, BUTTERFLY)
