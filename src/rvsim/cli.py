@@ -2,7 +2,8 @@
 
 Subcommands: ``generate`` (graph files), ``run`` (single simulation),
 ``sweep`` (parameter grids to CSV), ``lowerbound`` (worst-case instance
-construction and verification), ``selfcheck`` (the acceptance gate).
+construction and verification), ``trace check`` (trace replay against a
+graph), ``selfcheck`` (the acceptance gate).
 Every path is deterministic given its flags; exit codes are 0 for
 success/claims-hold, 1 for claim violations, 2 for usage or input errors.
 """
@@ -12,9 +13,11 @@ from __future__ import annotations
 import argparse
 import csv
 import itertools
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 
 from . import acceptance
 from .acceptance import SWEEP_COLUMNS, Cell, run_cell
@@ -22,7 +25,8 @@ from .adversary import HorizonViolatedError, build_instance, verify_frozen_dista
 from .agents import default_round_cap, rendezvous_program, rendezvous_round_bound
 from .graphs import FAMILIES, load_graph, materialize, save_graph
 from .oracle import bfs_distances
-from .sim import MET, SimConfig, check_starts, run, trace_header, write_trace
+from .sim import (MET, SimConfig, check_starts, read_trace, replay_check, run, trace_header,
+                  write_trace)
 
 
 def _ints(text: str) -> list[int]:
@@ -44,12 +48,20 @@ def _label_pairs(text: str) -> list[tuple[int, int]]:
 
 
 def _label_space(text: str) -> int:
-    """Accept plain integers plus 2^k / 2**k shorthand."""
+    """Accept plain integers plus 2^k / 2**k shorthand. A power whose decimal
+    form would pass the interpreter's limit on integer strings is refused
+    from its exponent, before it is computed."""
     text = text.strip()
     for sep in ("^", "**"):
         if sep in text:
             base, _, exp = text.partition(sep)
-            return int(base) ** int(exp)
+            base, exp = int(base), int(exp)
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+            # |base|^exp has floor(exp * log10|base|) + 1 decimal digits
+            if limit and abs(base) > 1 and exp >= limit / math.log10(abs(base)):
+                raise argparse.ArgumentTypeError(
+                    f"{text} has more than {limit} decimal digits")
+            return base ** exp
     return int(text)
 
 
@@ -95,10 +107,11 @@ def cmd_run(args) -> int:
                                       args.label1, args.label2)
     cfg = SimConfig(round_cap=cap, oracle_mode=args.oracle_mode,
                     trace_detail="full" if args.trace_out else "meeting-only")
-    result = run(g, args.start1, args.start2,
-                 rendezvous_program(args.label1), rendezvous_program(args.label2), cfg)
-    if args.trace_out:
-        with open(args.trace_out, "w", encoding="ascii") as fh:
+    prog1, prog2 = rendezvous_program(args.label1), rendezvous_program(args.label2)
+    # the trace file is opened first, so that a bad path costs no rounds
+    with open(args.trace_out, "w", encoding="ascii") if args.trace_out else nullcontext() as fh:
+        result = run(g, args.start1, args.start2, prog1, prog2, cfg)
+        if fh is not None:
             write_trace(fh, trace_header(g, args.start1, args.start2,
                                          args.label1, args.label2, cfg), result)
     out = [("outcome", result.outcome),
@@ -237,6 +250,24 @@ def cmd_lowerbound(args) -> int:
     return 0 if ok else 1
 
 
+# ----------------------------------------------------------------------------
+# trace check
+# ----------------------------------------------------------------------------
+
+def cmd_trace_check(args) -> int:
+    g = load_graph(args.graph)
+    with open(args.trace, encoding="ascii") as fh:
+        header, rows, _ = read_trace(fh)
+    if header.get("graph_hash") != g.content_hash():
+        raise ValueError(f"{args.trace} was written on graph {header.get('graph_hash')}, "
+                         f"not on {args.graph} ({g.content_hash()})")
+    violations = replay_check(rows, g)
+    for violation in violations:
+        print(violation)
+    _emit([("rows", len(rows)), ("violations", len(violations))])
+    return 1 if violations else 0
+
+
 def cmd_selfcheck(args) -> int:
     results = acceptance.run_all(fast=args.fast)
     for res in results:
@@ -319,6 +350,16 @@ def _build_parser() -> argparse.ArgumentParser:
     low.add_argument("--seed", type=int, default=0)
     low.add_argument("--graph-out", help="also write the numbered graph file")
     low.set_defaults(func=cmd_lowerbound)
+
+    trace = sub.add_parser("trace", help="work with trace files")
+    trace_sub = trace.add_subparsers(dest="trace_command", required=True)
+    trace_check = trace_sub.add_parser(
+        "check", help="replay a trace against its graph",
+        description="Read a trace (format 2 or 1), check that its header names the "
+                    "graph, and replay every row; exit 1 lists the violations.")
+    trace_check.add_argument("trace", help="a trace file that run --trace-out wrote")
+    trace_check.add_argument("--graph", required=True)
+    trace_check.set_defaults(func=cmd_trace_check)
 
     check = sub.add_parser("selfcheck", help="run the acceptance suite")
     check.add_argument("--fast", action="store_true",

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .agents import AgentProgram, Observation
 from .graphs import PortGraph
@@ -109,6 +109,7 @@ def run(g: PortGraph, start1: int, start2: int,
         return RunResult(MET, 0, 0, start1, start2, 0, rows)
 
     adj = g._adj
+    new = tuple.__new__  # skips TraceRow's argument parsing
     step1, step2 = prog1.step, prog2.step
     distance = DistanceOracle(g).distance
     exact = cfg.oracle_mode == "exact"
@@ -126,7 +127,7 @@ def run(g: PortGraph, start1: int, start2: int,
         next1, a1 = ports1[port1 - 1] if 1 <= port1 <= len(ports1) else (pos1, 0)
         next2, a2 = ports2[port2 - 1] if 1 <= port2 <= len(ports2) else (pos2, 0)
         if keep_rows:
-            rows.append(TraceRow(r, pos1, pos2, d, port1, port2, a1, a2, next1, next2))
+            rows.append(new(TraceRow, (r, pos1, pos2, d, port1, port2, a1, a2, next1, next2)))
         if a1 or a2:  # an entry port is >= 1, so some agent moved
             nd = distance(next1, next2)
             if next1 == next2:
@@ -197,27 +198,29 @@ def replay_check(rows: Iterable[TraceRow], g: PortGraph) -> list[str]:
 
 
 # ----------------------------------------------------------------------------
-# trace serialization: JSON-lines with a header record, one record per row,
-# and a result record; field order is fixed so traces diff cleanly.
+# trace serialization, format 2: JSON lines with a header record, one record
+# per run of rounds, and a result record; field order is fixed so traces diff
+# cleanly. A run stands for ``count`` rows with consecutive rounds from
+# ``round`` on and equal last nine fields: an idle stretch costs one line.
 # ----------------------------------------------------------------------------
 
-# A row record as json.dumps spells it for integer fields, split after the
-# round: idle rounds repeat the previous row's tail, so the writer renders a
-# tail only when it changes and the reader parses a repeated tail only once.
-# The reader matches each field as a JSON integer of at most 18 digits and
-# sends every other line, longer numbers included, to json.loads.
-_ROW_HEAD = '{"kind": "row", "round": '
-_ROW_TAIL = "".join(f', "{f}": %d' for f in TraceRow._fields[1:]) + "}\n"
-_FIELD = "-?(?:0|[1-9][0-9]{0,17})"
-_match_row_line = re.compile(re.escape(_ROW_HEAD + "%d" + _ROW_TAIL[:-1]).replace(
-    "%d", f"({_FIELD})") + "\n?").fullmatch
-_match_field = re.compile(_FIELD).fullmatch
+TRACE_FORMAT = 2
+
+# A run record as json.dumps spells it for integer fields. The reader matches
+# each field as a JSON integer of at most 18 digits and sends every other
+# line, longer numbers and format-1 row records included, to json.loads.
+_RUN_FIELDS = ("round", "count") + TraceRow._fields[1:]
+_RUN_LINE = ('{"kind": "rows", ' + ", ".join(f'"{f}": %d' for f in _RUN_FIELDS)
+             + "}\n")
+_match_run_line = re.compile(re.escape(_RUN_LINE[:-1]).replace(
+    "%d", "(-?(?:0|[1-9][0-9]{0,17}))") + "\n?").fullmatch
 
 
 def trace_header(g: PortGraph, start1: int, start2: int,
                  label1: int | None, label2: int | None, cfg: SimConfig) -> dict:
     return {
         "kind": "header",
+        "format": TRACE_FORMAT,
         "graph_hash": g.content_hash(),
         "nodes": g.num_nodes,
         "start1": start1,
@@ -231,7 +234,7 @@ def trace_header(g: PortGraph, start1: int, start2: int,
 
 def write_trace(fh: IO[str], header: dict, result: RunResult) -> None:
     fh.write(json.dumps(header) + "\n")
-    fh.writelines(_row_lines(result.trace or ()))
+    fh.writelines(_run_lines(result.trace or ()))
     fh.write(json.dumps({
         "kind": "result",
         "outcome": result.outcome,
@@ -243,36 +246,46 @@ def write_trace(fh: IO[str], header: dict, result: RunResult) -> None:
     }) + "\n")
 
 
-def _row_lines(rows: Iterable[TraceRow]) -> Iterable[str]:
-    """Template lines for ``rows``, rendering each distinct run of tails once."""
-    head = _ROW_HEAD + "%d"
-    last = tail = None
+def _run_lines(rows: Iterable[TraceRow]) -> Iterator[str]:
+    start = count = 0
+    tail = None
     for row in rows:
         rest = row[1:]
-        if rest != last:
-            last, tail = rest, _ROW_TAIL % rest
-        yield head % row[0] + tail
+        if rest == tail and row[0] == start + count:
+            count += 1
+            continue
+        if tail is not None:
+            yield _RUN_LINE % (start, count, *tail)
+        start, count, tail = row[0], 1, rest
+    if tail is not None:
+        yield _RUN_LINE % (start, count, *tail)
 
 
 def read_trace(fh: IO[str]) -> tuple[dict, list[TraceRow], dict]:
+    """Read a format-2 trace, or a format-1 trace of one row record per round,
+    into its header, its rows and its result record. A run record is expanded
+    only after a format-2 header, and only as far as its round_cap allows."""
     header: dict | None = None
     rows: list[TraceRow] = []
     result: dict | None = None
-    # the last template-matched line after its round token, and its last nine fields
-    tail, rest, cut = None, (), 0
-    start = len(_ROW_HEAD)
+    cap = None  # the round_cap of a format-2 header
+    new = tuple.__new__  # skips TraceRow's argument parsing
+
+    def expand(lineno: int, rnd: int, count: int, *tail: int) -> None:
+        if type(cap) is not int:
+            raise TraceFormatError("run record without a format-2 header with an integer "
+                                   "round_cap before it", lineno)
+        if count < 1:
+            raise TraceFormatError(f"run count {count} is below 1", lineno)
+        if count > cap - len(rows):
+            raise TraceFormatError(f"run of {count} rows takes the trace past its "
+                                   f"round_cap {cap}", lineno)
+        rows.extend([new(TraceRow, (r, *tail)) for r in range(rnd, rnd + count)])
+
     for lineno, line in enumerate(fh, start=1):
-        if tail is not None and line.endswith(tail) and line.startswith(_ROW_HEAD):
-            middle = line[start:cut]
-            if _match_field(middle):
-                rows.append(TraceRow._make((int(middle),) + rest))
-                continue
-        m = _match_row_line(line)
+        m = _match_run_line(line)
         if m:
-            row = TraceRow._make(map(int, m.groups()))
-            rows.append(row)
-            tail, rest = line[m.end(1):], row[1:]
-            cut = -len(tail)
+            expand(lineno, *map(int, m.groups()))
             continue
         if not line.strip():
             continue
@@ -285,13 +298,19 @@ def read_trace(fh: IO[str]) -> tuple[dict, list[TraceRow], dict]:
         kind = rec.get("kind")
         if kind == "header":
             header = rec
-        elif kind == "row":
-            for name in TraceRow._fields:
+            cap = rec.get("round_cap") if rec.get("format") == TRACE_FORMAT else None
+        elif kind in ("row", "rows"):  # a format-1 row, or a run spelled another way
+            names = TraceRow._fields if kind == "row" else _RUN_FIELDS
+            for name in names:
                 if name not in rec:
-                    raise TraceFormatError(f"row record missing field {name!r}", lineno)
+                    raise TraceFormatError(f"{kind} record missing field {name!r}", lineno)
                 if type(rec[name]) is not int:
-                    raise TraceFormatError(f"row field {name!r} is not an integer", lineno)
-            rows.append(TraceRow._make(rec[name] for name in TraceRow._fields))
+                    raise TraceFormatError(f"{kind} field {name!r} is not an integer", lineno)
+            values = [rec[name] for name in names]
+            if kind == "row":
+                rows.append(TraceRow._make(values))
+            else:
+                expand(lineno, *values)
         elif kind == "result":
             result = rec
     if header is None or result is None:

@@ -1,10 +1,12 @@
 import csv
 import hashlib
+import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rvsim import build, generate_ring, save_graph
+from rvsim import AgentProgram, build, generate_ring, read_trace, save_graph
 from rvsim.cli import main
 
 
@@ -99,6 +101,89 @@ class TestRun:
             traces.append(read(tpath))
         assert stdouts[0] == stdouts[1]
         assert traces[0] == traces[1]
+
+    def test_bad_trace_out_exits_2_before_any_round(self, tmp_path, capsys, monkeypatch):
+        gpath = tmp_path / "ring.txt"
+        save_graph(generate_ring(6), str(gpath))
+        steps = []
+        step = AgentProgram.step
+        monkeypatch.setattr(AgentProgram, "step",
+                            lambda self, obs: steps.append(obs) or step(self, obs))
+        argv = ["run", "--graph", str(gpath), "--start1", "0", "--start2", "3",
+                "--label1", "0", "--label2", "1", "--trace-out"]
+        code = main(argv + [str(tmp_path / "no" / "t.jsonl")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and "t.jsonl" in captured.err
+        assert steps == []
+        assert main(argv + [str(tmp_path / "t.jsonl")]) == 0 and steps
+
+
+class TestTraceCheck:
+    @pytest.fixture
+    def traced(self, tmp_path, monkeypatch, capsys):
+        """A graph and the trace `run --trace-out` writes on it."""
+        monkeypatch.chdir(tmp_path)
+        assert main(_TRACE_GRAPH) == 0
+        assert main(["run", "--graph", "g.txt", "--start1", "0", "--start2", "15",
+                     "--label1", "6", "--label2", "9", "--trace-out", "t.jsonl"]) == 0
+        capsys.readouterr()
+        return tmp_path / "t.jsonl"
+
+    def _check(self, trace, capsys, graph="g.txt"):
+        code = main(["trace", "check", str(trace), "--graph", graph])
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_clean_trace_exits_0(self, traced, capsys):
+        code, out, _ = self._check(traced, capsys)
+        assert (code, out) == (0, "rows=72 violations=0\n")
+
+    def test_format_1_trace_exits_0(self, traced, capsys):
+        """The same rows, one format-1 record per round under a header with
+        no format field, check alike."""
+        with open(traced, encoding="ascii") as fh:
+            header, rows, result = read_trace(fh)
+        del header["format"]
+        lines = [json.dumps(header)]
+        lines += [json.dumps({"kind": "row", **row._asdict()}) for row in rows]
+        lines.append(json.dumps(result))
+        traced.write_text("\n".join(lines) + "\n")
+        code, out, _ = self._check(traced, capsys)
+        assert (code, out) == (0, "rows=72 violations=0\n")
+
+    def test_perturbed_trace_exits_1_with_violations(self, traced, capsys):
+        lines = traced.read_text().splitlines(keepends=True)
+        rec = json.loads(lines[3])
+        rec["dist"] += 1
+        lines[3] = json.dumps(rec) + "\n"
+        traced.write_text("".join(lines))
+        code, out, _ = self._check(traced, capsys)
+        assert code == 1
+        *violations, summary = out.splitlines()
+        # each row of the run carries the wrong distance
+        run_rounds = range(rec["round"], rec["round"] + rec["count"])
+        assert violations == [f"row {r}: recorded distance {rec['dist']}, actual {rec['dist'] - 1}"
+                              for r in run_rounds]
+        assert summary == f"rows=72 violations={len(violations)}"
+
+    @pytest.mark.parametrize("damage", ["missing-trace", "not-json", "run-count", "other-graph",
+                                        "missing-graph"])
+    def test_bad_file_or_graph_exits_2(self, traced, capsys, damage):
+        graph = "g.txt"
+        if damage == "missing-trace":
+            traced.unlink()
+        elif damage == "not-json":
+            traced.write_text(traced.read_text().replace('"count"', "count", 1))
+        elif damage == "run-count":
+            traced.write_text(re.sub(r'"count": \d+', '"count": 100000000000000000',
+                                     traced.read_text(), count=1))
+        elif damage == "other-graph":
+            save_graph(generate_ring(30), "ring.txt")
+            graph = "ring.txt"
+        else:
+            graph = "nope.txt"
+        code, out, err = self._check(traced, capsys, graph)
+        assert code == 2 and out == "" and err.startswith("error: ")
 
 
 class TestSweep:
@@ -249,15 +334,17 @@ _GOLDEN_HELP = {
 }
 
 # `run --trace-out` in each oracle mode on a graph that `generate` writes
-# first: mode -> (stdout digest, trace digest). Recorded while rows were still
-# written through json.dumps; they pin trace bytes across changes.
+# first: mode -> (stdout digest, trace digest). The stdout digests date from
+# rows written through json.dumps. The trace digests were re-recorded for
+# trace format 2 (one record per run of rounds); they pin trace bytes across
+# changes.
 _TRACE_GRAPH = ["generate", "--family", "random", "--size", "30", "--max-degree", "4",
                 "--seed", "5", "--out", "g.txt"]
 _GOLDEN_TRACES = {
     "exact": ("dc3870be02ef946b9aedc78a5a7b4ff9f8bdc8f4a9ee8dff14231f4e1e862768",
-              "1f830f8f6cfaed04763640fbc78627a6a3b7b589dfd6932c66b42d9b06f7b9e2"),
+              "d010125388a9ae4e9fb63403f31efbcd78d31f52db4ee526c5da064da51f99bf"),
     "delta": ("dc3870be02ef946b9aedc78a5a7b4ff9f8bdc8f4a9ee8dff14231f4e1e862768",
-              "20faacfeff9b0dcad25032e2c55c9213a3c95bca6dedc29cd28d22f8cfb1c6eb"),
+              "6f064de70245681ad858599205c6f82165d878205eb4170201171143ff71c7d4"),
 }
 
 
@@ -314,6 +401,16 @@ class TestLowerbound:
     def test_even_clique_usage_error(self, capsys):
         assert main(["lowerbound", "--clique-size", "4", "--label-space", "16",
                      "--distance", "2"]) == 2
+
+    @pytest.mark.parametrize("space", ["2^20000", "2^99999999", "10**4300"])
+    def test_label_space_past_the_digit_limit_exits_2_at_once(self, capsys, monkeypatch,
+                                                               space):
+        """Refused while the flags are parsed, so no instance is built."""
+        monkeypatch.setattr("rvsim.cli.build_instance", None)
+        code, stdout, stderr = _exit_code(["lowerbound", "--degree", "8", "--label-space",
+                                           space, "--distance", "3"], capsys)
+        assert code == 2 and stdout == ""
+        assert f"{space} has more than" in stderr and "Traceback" not in stderr
 
 
 def _not_int(text):

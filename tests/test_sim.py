@@ -146,20 +146,120 @@ class TestReplayCheck:
         assert not any("outside" in p for p in problems if not p.startswith("row 4: "))
 
 
+# ----------------------------------------------------------------------------
+# reference format-1 trace I/O: one record per round from one line template,
+# and a reader that makes one regex match or one json.loads per line;
+# read_trace must still read their traces as the reference reader does
+# ----------------------------------------------------------------------------
+
+_REF_ROW_LINE = ('{"kind": "row", ' + ", ".join(f'"{f}": %d' for f in TraceRow._fields)
+                 + "}\n")
+_ref_match_row_line = re.compile(re.escape(_REF_ROW_LINE[:-1]).replace(
+    "%d", "(-?(?:0|[1-9][0-9]{0,17}))") + "\n?").fullmatch
+
+
+def _reference_write(fh, header, result):
+    fh.write(json.dumps(header) + "\n")
+    fh.writelines(_REF_ROW_LINE % row for row in result.trace or ())
+    fh.write(json.dumps({
+        "kind": "result",
+        "outcome": result.outcome,
+        "met_round": result.met_round,
+        "rounds": result.rounds,
+        "final1": result.final1,
+        "final2": result.final2,
+        "min_distance": result.min_distance,
+    }) + "\n")
+
+
+def _reference_read(fh):
+    header = result = None
+    rows = []
+    for lineno, line in enumerate(fh, start=1):
+        m = _ref_match_row_line(line)
+        if m:
+            rows.append(TraceRow._make(map(int, m.groups())))
+            continue
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except ValueError as exc:
+            raise TraceFormatError(f"not JSON ({exc})", lineno) from None
+        if not isinstance(rec, dict):
+            raise TraceFormatError("record is not a JSON object", lineno)
+        kind = rec.get("kind")
+        if kind == "header":
+            header = rec
+        elif kind == "row":
+            for name in TraceRow._fields:
+                if name not in rec:
+                    raise TraceFormatError(f"row record missing field {name!r}", lineno)
+                if type(rec[name]) is not int:
+                    raise TraceFormatError(f"row field {name!r} is not an integer", lineno)
+            rows.append(TraceRow._make(rec[name] for name in TraceRow._fields))
+        elif kind == "result":
+            result = rec
+    if header is None or result is None:
+        raise TraceFormatError("trace missing header or result record")
+    return header, rows, result
+
+
+def _v1_header(header):
+    """``header`` as format 1 wrote it, with no format field."""
+    return {key: value for key, value in header.items() if key != "format"}
+
+
+def _trace_text(writer, header, result) -> str:
+    buf = io.StringIO()
+    writer(buf, header, result)
+    return buf.getvalue()
+
+
+def _read_or_error(reader, lines):
+    try:
+        return reader(lines)
+    except TraceFormatError as exc:
+        return "error", exc.line
+
+
+RING6 = generate_ring(6)
+RING6_CFG = SimConfig(round_cap=300)
+RING6_RUN = run(RING6, 0, 3, rendezvous_program(2), rendezvous_program(3), RING6_CFG)
+RING6_HEADER = trace_header(RING6, 0, 3, 2, 3, RING6_CFG)
+TRACE_LINES = _trace_text(write_trace, RING6_HEADER, RING6_RUN).splitlines(keepends=True)
+V1_LINES = _trace_text(_reference_write, _v1_header(RING6_HEADER),
+                       RING6_RUN).splitlines(keepends=True)
+
+
+def _with_token(line: str, name: str, token: str) -> str:
+    """``line`` with the JSON value of its integer field ``name`` spelled ``token``."""
+    value = json.loads(line)[name]
+    return line.replace(f'"{name}": {value},', f'"{name}": {token},', 1)
+
+
+def _row_tail(line: str) -> str:
+    """A format-1 row line after its round token."""
+    return line.split(", ", 2)[2]
+
+
+# indices of format-1 row lines whose tail repeats the line before's, and of the others
+REPEATED = [i for i in range(2, len(V1_LINES) - 1)
+            if _row_tail(V1_LINES[i]) == _row_tail(V1_LINES[i - 1])]
+FRESH = [i for i in range(1, len(V1_LINES) - 1) if i not in REPEATED]
+# indices of run lines that stand for several rows, and for one
+MULTI = [i for i in range(1, len(TRACE_LINES) - 1) if json.loads(TRACE_LINES[i])["count"] > 1]
+SINGLE = [i for i in range(1, len(TRACE_LINES) - 1) if i not in MULTI]
+
+
 class TestTraceSerialization:
     def test_round_trip(self):
-        g = generate_ring(6)
-        cfg = SimConfig(round_cap=300)
-        res = run(g, 0, 3, rendezvous_program(2), rendezvous_program(3), cfg)
-        buf = io.StringIO()
-        write_trace(buf, trace_header(g, 0, 3, 2, 3, cfg), res)
-        buf.seek(0)
-        header, rows, result = read_trace(buf)
-        assert header["graph_hash"] == g.content_hash()
-        assert header["label2"] == 3
-        assert rows == res.trace
-        assert result["outcome"] == res.outcome
-        assert result["met_round"] == res.met_round
+        header, rows, result = read_trace(io.StringIO("".join(TRACE_LINES)))
+        assert header["graph_hash"] == RING6.content_hash()
+        assert header["label2"] == 3 and header["format"] == 2
+        assert rows == RING6_RUN.trace
+        assert result["outcome"] == RING6_RUN.outcome
+        assert result["met_round"] == RING6_RUN.met_round
 
     def test_byte_identical_across_runs(self):
         g = generate_ring(6)
@@ -172,35 +272,24 @@ class TestTraceSerialization:
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
 
-
-RING6 = generate_ring(6)
-
-
-def _trace_lines() -> list[str]:
-    cfg = SimConfig(round_cap=300)
-    res = run(RING6, 0, 3, rendezvous_program(2), rendezvous_program(3), cfg)
-    buf = io.StringIO()
-    write_trace(buf, trace_header(RING6, 0, 3, 2, 3, cfg), res)
-    return buf.getvalue().splitlines(keepends=True)
+    def test_format_1_trace_reads_to_the_same_rows(self):
+        assert (read_trace(io.StringIO("".join(V1_LINES)))
+                == _reference_read(io.StringIO("".join(V1_LINES)))
+                == (_v1_header(RING6_HEADER), RING6_RUN.trace,
+                    json.loads(TRACE_LINES[-1])))
 
 
-TRACE_LINES = _trace_lines()
-
-
-def _row_tail(line: str) -> str:
-    """A row line after its round token."""
-    return line.split(", ", 2)[2]
-
-
-def _with_round_token(line: str, token: str) -> str:
-    rnd = json.loads(line)["round"]
-    return line.replace(f'"round": {rnd},', f'"round": {token},', 1)
-
-
-# indices of row lines whose tail repeats the line before's, and of the others
-REPEATED = [i for i in range(2, len(TRACE_LINES) - 1)
-            if _row_tail(TRACE_LINES[i]) == _row_tail(TRACE_LINES[i - 1])]
-FRESH = [i for i in range(1, len(TRACE_LINES) - 1) if i not in REPEATED]
+# a run line's round or count token, respelled: the value JSON reads, or None
+# where the reader must raise
+_RUN_TOKENS = [
+    ("round", "-0", 0), ("round", " 7", 7), ("round", "-7", -7),
+    ("round", "1" * 18, int("1" * 18)), ("round", "1" * 19, int("1" * 19)),
+    ("round", "01", None), ("round", "+1", None), ("round", "1.0", None),
+    ("round", "1_0", None), ("round", "\u0661", None), ("round", "", None),
+    ("count", " 2", 2), ("count", "1", 1), ("count", "0", None), ("count", "-0", None),
+    ("count", "-1", None), ("count", "01", None), ("count", "2.0", None),
+    ("count", "1" * 19, None), ("count", "9" * 18, None), ("count", "\u0662", None),
+]
 
 
 class TestTraceReader:
@@ -210,13 +299,89 @@ class TestTraceReader:
         lambda rec: json.dumps(rec, separators=(" ,  ", " :  ")) + "  ",
     ], ids=["reordered", "compact", "spaced"])
     def test_row_spellings_read_alike(self, spell):
-        _, canonical, _ = read_trace(io.StringIO("".join(TRACE_LINES)))
-        lines = [TRACE_LINES[0]]
-        lines += [spell(json.loads(line)) + "\n" for line in TRACE_LINES[1:-1]]
-        lines.append(TRACE_LINES[-1])
-        assert lines[1:-1] != TRACE_LINES[1:-1]
+        """Run records (format 2) and row records (format 1) spelled other
+        than the writer spells them read as the same rows."""
+        for original in (TRACE_LINES, V1_LINES):
+            lines = [original[0]]
+            lines += [spell(json.loads(line)) + "\n" for line in original[1:-1]]
+            lines.append(original[-1])
+            assert lines[1:-1] != original[1:-1]
+            _, rows, _ = read_trace(io.StringIO("".join(lines)))
+            assert rows == RING6_RUN.trace
+
+    @pytest.mark.parametrize("name, token, value", _RUN_TOKENS,
+                             ids=[f"{name}={token!r}" for name, token, _ in _RUN_TOKENS])
+    @pytest.mark.parametrize("which", ["multi", "single"])
+    def test_run_token(self, name, token, value, which):
+        """Respell one run line's round or count: the reader expands the run
+        from the value JSON gives that token, or raises naming the line."""
+        i = (MULTI if which == "multi" else SINGLE)[1]
+        lines = list(TRACE_LINES)
+        lines[i] = _with_token(lines[i], name, token)
+        runs = [json.loads(line) for line in TRACE_LINES[1:-1]]
+        if value is None:
+            expected = "error", i + 1
+        else:
+            runs[i - 1][name] = value
+            expected = (RING6_HEADER, _expand(runs), json.loads(TRACE_LINES[-1]))
+        assert _read_or_error(read_trace, io.StringIO("".join(lines))) == expected
+
+
+def _expand(runs):
+    """The rows that decoded run records stand for."""
+    fields = TraceRow._fields[1:]
+    return [TraceRow(rnd, *(rec[f] for f in fields))
+            for rec in runs for rnd in range(rec["round"], rec["round"] + rec["count"])]
+
+
+class TestRunRecordBounds:
+    """A run record is expanded only after a format-2 header, with a count of
+    at least 1, and while the rows stay within the header's round_cap."""
+
+    def _read(self, lines):
+        return _read_or_error(read_trace, io.StringIO("".join(lines)))
+
+    def _run_line(self, count):
+        return _with_token(TRACE_LINES[1], "count", str(count))
+
+    def test_count_up_to_the_round_cap(self):
+        room = RING6_CFG.round_cap - len(RING6_RUN.trace) + json.loads(TRACE_LINES[1])["count"]
+        lines = list(TRACE_LINES)
+        lines[1] = self._run_line(room)
         _, rows, _ = read_trace(io.StringIO("".join(lines)))
-        assert rows == canonical and len(rows) == len(TRACE_LINES) - 2
+        assert len(rows) == RING6_CFG.round_cap
+        lines[1] = self._run_line(room + 1)
+        # the last run line is the one that takes the rows past the cap
+        assert self._read(lines) == ("error", len(lines) - 1)
+
+    def test_huge_count_raises_at_once(self):
+        lines = list(TRACE_LINES)
+        lines[1] = self._run_line(10 ** 17)
+        assert self._read(lines) == ("error", 2)
+        lines[1] = json.dumps({**json.loads(lines[1]), "count": 10 ** 30}) + "\n"
+        assert self._read(lines) == ("error", 2)
+
+    @pytest.mark.parametrize("count", [0, -1, -(10 ** 17)])
+    def test_count_below_one(self, count):
+        lines = list(TRACE_LINES)
+        lines[3] = self._run_line(count)
+        with pytest.raises(TraceFormatError, match="line 4: run count"):
+            read_trace(io.StringIO("".join(lines)))
+
+    def test_run_before_the_header(self):
+        lines = [TRACE_LINES[1], TRACE_LINES[0]] + TRACE_LINES[2:]
+        assert self._read(lines) == ("error", 1)
+
+    @pytest.mark.parametrize("header", [
+        _v1_header(RING6_HEADER), {**RING6_HEADER, "format": 3},
+        {**RING6_HEADER, "format": "2"}, {**RING6_HEADER, "round_cap": None},
+        {**RING6_HEADER, "round_cap": True},
+    ], ids=["format-1", "format-3", "format-string", "cap-null", "cap-bool"])
+    def test_header_without_a_format_2_cap(self, header):
+        """Runs after a header with no format field, another format, or no
+        integer round_cap raise on their line."""
+        lines = [json.dumps(header) + "\n"] + TRACE_LINES[1:]
+        assert self._read(lines) == ("error", 2)
 
 
 class TestTraceErrors:
@@ -256,11 +421,11 @@ class TestTraceErrors:
         rec = json.loads(lines[i])
         mutation = data.draw(st.sampled_from(
             ("drop_field", "retype_field", "int_field", "truncate", "replace", "delete",
-             "json_value", "round_only")))
-        if mutation == "round_only":
-            i = data.draw(st.sampled_from(REPEATED), label="repeated-tail line")
-            lines[i] = _with_round_token(lines[i], data.draw(
-                st.text(max_size=6) | st.integers().map(str), label="round token"))
+             "json_value", "round_token", "count_token")))
+        if mutation in ("round_token", "count_token"):
+            i = data.draw(st.integers(1, len(lines) - 2), label="run line")
+            lines[i] = _with_token(lines[i], mutation[:5], data.draw(
+                st.text(max_size=6) | st.integers().map(str), label="token"))
         elif mutation == "drop_field":
             del rec[data.draw(st.sampled_from(sorted(rec)))]
             lines[i] = json.dumps(rec) + "\n"
@@ -286,6 +451,7 @@ class TestTraceErrors:
             _, rows, _ = read_trace(io.StringIO("".join(lines)))
         except ValueError:
             return
+        assert len(rows) <= RING6_CFG.round_cap
         assert isinstance(replay_check(rows, RING6), list)
 
 
@@ -400,63 +566,25 @@ class TestMatchesReferenceEngine:
                                               SimConfig(round_cap=cap, oracle_mode=mode))
 
 
+
 # ----------------------------------------------------------------------------
-# reference trace I/O: one full template render per row, one full regex match
-# per line and every check on every row; write_trace, read_trace and
-# replay_check must agree with them
+# reference trace I/O: run records rendered one by one through json.dumps,
+# and a replay that checks every row; write_trace, read_trace and
+# replay_check must agree with them and with the format-1 references above
 # ----------------------------------------------------------------------------
 
-_REF_ROW_LINE = ('{"kind": "row", ' + ", ".join(f'"{f}": %d' for f in TraceRow._fields)
-                 + "}\n")
-_ref_match_row_line = re.compile(re.escape(_REF_ROW_LINE[:-1]).replace(
-    "%d", "(-?(?:0|[1-9][0-9]{0,17}))") + "\n?").fullmatch
-
-
-def _reference_write(fh, header, result):
-    fh.write(json.dumps(header) + "\n")
-    fh.writelines(_REF_ROW_LINE % row for row in result.trace or ())
-    fh.write(json.dumps({
-        "kind": "result",
-        "outcome": result.outcome,
-        "met_round": result.met_round,
-        "rounds": result.rounds,
-        "final1": result.final1,
-        "final2": result.final2,
-        "min_distance": result.min_distance,
-    }) + "\n")
-
-
-def _reference_read(fh):
-    header = result = None
-    rows = []
-    for lineno, line in enumerate(fh, start=1):
-        m = _ref_match_row_line(line)
-        if m:
-            rows.append(TraceRow._make(map(int, m.groups())))
-            continue
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError as exc:
-            raise TraceFormatError(f"not JSON ({exc})", lineno) from None
-        if not isinstance(rec, dict):
-            raise TraceFormatError("record is not a JSON object", lineno)
-        kind = rec.get("kind")
-        if kind == "header":
-            header = rec
-        elif kind == "row":
-            for name in TraceRow._fields:
-                if name not in rec:
-                    raise TraceFormatError(f"row record missing field {name!r}", lineno)
-                if type(rec[name]) is not int:
-                    raise TraceFormatError(f"row field {name!r} is not an integer", lineno)
-            rows.append(TraceRow._make(rec[name] for name in TraceRow._fields))
-        elif kind == "result":
-            result = rec
-    if header is None or result is None:
-        raise TraceFormatError("trace missing header or result record")
-    return header, rows, result
+def _reference_run_lines(rows):
+    """One json.dumps record per maximal run of rows with consecutive rounds
+    and equal last nine fields."""
+    runs = []
+    for row in rows:
+        if runs and runs[-1][0] + runs[-1][1] == row[0] and runs[-1][2] == row[1:]:
+            runs[-1][1] += 1
+        else:
+            runs.append([row[0], 1, row[1:]])
+    return [json.dumps({"kind": "rows", "round": int(rnd), "count": count,
+                        **{f: int(v) for f, v in zip(TraceRow._fields[1:], tail)}}) + "\n"
+            for rnd, count, tail in runs]
 
 
 def _reference_replay(rows, g):
@@ -495,13 +623,6 @@ def _reference_replay(rows, g):
     return violations
 
 
-def _read_or_error(reader, lines):
-    try:
-        return reader(lines)
-    except TraceFormatError as exc:
-        return "error", exc.line
-
-
 def _butterfly_trace(prefix_bits):
     """The longrun shape: number_butterfly(13, 8, 1, 2), starts 4 columns
     apart, and two labels that share a random ``prefix_bits``-bit prefix."""
@@ -511,10 +632,11 @@ def _butterfly_trace(prefix_bits):
               rendezvous_program(prefix << 1), rendezvous_program((prefix << 1) | 1),
               SimConfig(round_cap=10 ** 6))
     assert res.outcome == MET
-    return g, res.trace
+    return g, res
 
 
-BUTTERFLY, BUTTERFLY_ROWS = _butterfly_trace(16)
+BUTTERFLY, BUTTERFLY_RUN = _butterfly_trace(16)
+BUTTERFLY_ROWS = BUTTERFLY_RUN.trace
 
 _FIELD_VALUES = (st.integers() | st.integers(-3, 3) | st.booleans()
                  | st.sampled_from([10 ** 17, 10 ** 18 - 1, -(10 ** 18 - 1)]))
@@ -522,11 +644,15 @@ _FIELD_VALUES = (st.integers() | st.integers(-3, 3) | st.booleans()
 
 @st.composite
 def _rows_with_repeated_tails(draw):
+    """Stretches of rows that share a tail, each under arbitrary rounds or
+    under consecutive rounds from an arbitrary start."""
     tails = draw(st.lists(st.tuples(*[_FIELD_VALUES] * 9), min_size=1, max_size=4))
     rows = []
     for _ in range(draw(st.integers(0, 6))):
         tail = draw(st.sampled_from(tails))
-        rounds = draw(st.lists(_FIELD_VALUES, min_size=1, max_size=25))
+        rounds = draw(st.lists(_FIELD_VALUES, min_size=1, max_size=25)
+                      | st.tuples(_FIELD_VALUES, st.integers(1, 25))
+                      .map(lambda s: range(s[0], s[0] + s[1])))
         rows += [TraceRow(rnd, *tail) for rnd in rounds]
     return rows
 
@@ -534,16 +660,17 @@ def _rows_with_repeated_tails(draw):
 class TestMatchesReferenceTraceIO:
     @given(_rows_with_repeated_tails())
     def test_writer_bytes(self, rows):
+        """write_trace writes the reference run records, and read_trace reads
+        them, and the format-1 reference trace of the same rows, back to the
+        rows."""
         result = RunResult(CAP, None, len(rows), 0, 1, 1, rows)
         header = trace_header(RING6, 0, 3, 2, 3, SimConfig())
-        outs = []
-        for writer in (write_trace, _reference_write):
-            buf = io.StringIO()
-            writer(buf, header, result)
-            outs.append(buf.getvalue())
-        assert outs[0] == outs[1]
-        assert (_read_or_error(read_trace, io.StringIO(outs[0]))
-                == _read_or_error(_reference_read, io.StringIO(outs[0])))
+        text = _trace_text(write_trace, header, result)
+        lines = text.splitlines(keepends=True)
+        assert lines[1:-1] == _reference_run_lines(rows)
+        assert read_trace(io.StringIO(text))[1] == rows
+        v1 = _trace_text(_reference_write, _v1_header(header), result)
+        assert read_trace(io.StringIO(v1)) == _reference_read(io.StringIO(v1))
 
     @pytest.mark.parametrize("token", [
         "01", "-0", "+1", " 1", "1.0", "1_0", "\u0661", "1" * 19, "", None,
@@ -551,13 +678,13 @@ class TestMatchesReferenceTraceIO:
             "arabic-indic", "19-digits", "empty", "no-newline"])
     @pytest.mark.parametrize("which", ["repeated", "fresh"])
     def test_reader_round_token(self, token, which):
-        """Mutate one row's round token (or drop its newline) and read the
-        trace as a list of lines and as one text: rows or the error line
+        """Mutate one format-1 row's round token (or drop its newline) and read
+        the trace as a list of lines and as one text: rows or the error line
         must equal the reference reader's."""
-        lines = list(TRACE_LINES)
+        lines = list(V1_LINES)
         i = (REPEATED if which == "repeated" else FRESH)[1]
-        lines[i] = lines[i][:-1] if token is None else _with_round_token(lines[i], token)
-        assert lines[i] != TRACE_LINES[i]
+        lines[i] = lines[i][:-1] if token is None else _with_token(lines[i], "round", token)
+        assert lines[i] != V1_LINES[i]
         for source in (lambda: list(lines), lambda: io.StringIO("".join(lines))):
             assert (_read_or_error(read_trace, source())
                     == _read_or_error(_reference_read, source()))
@@ -566,19 +693,31 @@ class TestMatchesReferenceTraceIO:
         '{"kind": "rox", "round": ', '{"kind": "row","round": ', ' {"kind": "row", "round": ',
     ], ids=["other-kind", "compact", "indented"])
     def test_reader_row_head(self, head):
-        """A line that ends like the row before it but starts otherwise reads
-        as the reference reader reads it."""
-        lines = list(TRACE_LINES)
+        """A format-1 row line that ends like the row before it but starts
+        otherwise reads as the reference reader reads it."""
+        lines = list(V1_LINES)
         i = REPEATED[-1]
         assert json.loads(lines[i])["round"] >= 10
         lines[i] = head + lines[i].split(": ", 2)[2]
         assert (_read_or_error(read_trace, io.StringIO("".join(lines)))
                 == _read_or_error(_reference_read, io.StringIO("".join(lines))))
 
+    def test_longrun_shaped_trace_round_trips(self):
+        """A long idle-heavy trace takes one line per run and reads back to
+        its rows in both formats."""
+        header = trace_header(BUTTERFLY, 0, 4, 2, 3, SimConfig())
+        text = _trace_text(write_trace, header, BUTTERFLY_RUN)
+        lines = text.splitlines(keepends=True)
+        assert lines[1:-1] == _reference_run_lines(BUTTERFLY_ROWS)
+        assert len(lines) - 2 < len(BUTTERFLY_ROWS) / 4
+        assert read_trace(io.StringIO(text))[1] == BUTTERFLY_ROWS
+        v1 = _trace_text(_reference_write, _v1_header(header), BUTTERFLY_RUN)
+        assert read_trace(io.StringIO(v1))[1] == BUTTERFLY_ROWS
+
     def test_longrun_shaped_trace_replays_clean(self):
-        g, rows = _butterfly_trace(40)
-        assert len(rows) > 5000
-        assert replay_check(rows, g) == _reference_replay(rows, g) == []
+        g, res = _butterfly_trace(40)
+        assert len(res.trace) > 5000
+        assert replay_check(res.trace, g) == _reference_replay(res.trace, g) == []
 
     @given(st.data())
     def test_replay_of_mutated_traces(self, data):
