@@ -16,7 +16,6 @@ import itertools
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 
 from . import acceptance
@@ -187,6 +186,9 @@ def cmd_sweep(args) -> int:
     jobs = args.jobs or os.cpu_count() or 1
     work = cells * repeat  # repeats grouped by position: work[i::len(cells)]
     if jobs > 1 and len(work) > 1:
+        # imported here, not at the top: importing the process pool adds about
+        # 2.6 MB to every process that imports this module
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_cell, work, chunksize=8))
     else:
@@ -254,14 +256,32 @@ def cmd_lowerbound(args) -> int:
 # trace check
 # ----------------------------------------------------------------------------
 
+def _record_violations(header: dict, rows: list, result: dict) -> list[str]:
+    """Where the rows disagree with the header's starts or with the result's
+    round count and final positions."""
+    violations = []
+    starts = (header.get("start1"), header.get("start2"))
+    finals = (result.get("final1"), result.get("final2"))
+    if len(rows) != result.get("rounds"):
+        violations.append(f"trace: {len(rows)} rows, but the result counts "
+                          f"{result.get('rounds')} rounds")
+    first = (rows[0].pos1, rows[0].pos2) if rows else finals  # no rows: it ends where it starts
+    if first != starts:
+        violations.append(f"trace: the run starts at {first}, but the header says {starts}")
+    if rows and (rows[-1].next1, rows[-1].next2) != finals:
+        violations.append(f"trace: the run ends at {(rows[-1].next1, rows[-1].next2)}, "
+                          f"but the result says {finals}")
+    return violations
+
+
 def cmd_trace_check(args) -> int:
     g = load_graph(args.graph)
     with open(args.trace, encoding="ascii") as fh:
-        header, rows, _ = read_trace(fh)
+        header, rows, result = read_trace(fh)
     if header.get("graph_hash") != g.content_hash():
         raise ValueError(f"{args.trace} was written on graph {header.get('graph_hash')}, "
                          f"not on {args.graph} ({g.content_hash()})")
-    violations = replay_check(rows, g)
+    violations = _record_violations(header, rows, result) + replay_check(rows, g)
     for violation in violations:
         print(violation)
     _emit([("rows", len(rows)), ("violations", len(violations))])
@@ -356,7 +376,9 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_check = trace_sub.add_parser(
         "check", help="replay a trace against its graph",
         description="Read a trace (format 2 or 1), check that its header names the "
-                    "graph, and replay every row; exit 1 lists the violations.")
+                    "graph, that its rows match the header's starts and the result's "
+                    "rounds and final positions, and replay every row; exit 1 lists "
+                    "the violations.")
     trace_check.add_argument("trace", help="a trace file that run --trace-out wrote")
     trace_check.add_argument("--graph", required=True)
     trace_check.set_defaults(func=cmd_trace_check)

@@ -1,9 +1,11 @@
-"""Distance queries over port graphs: exact BFS, a lazy per-pair oracle,
-change signs.
+"""Distance queries over port graphs: exact BFS, an oracle built from
+resumable per-source BFS rows, change signs.
 
-The oracle answers each query with a BFS from one endpoint that stops at the
-other, so a run pays for the pairs it reads rather than for the whole graph.
-``all_pairs`` builds the full table; it is kept as an independent reference
+``bfs_distances`` is the one BFS loop. It can stop once a target has its
+distance and be resumed later from the queue it left. The oracle keeps one
+such partial search per source and extends it only as far as the queries
+need, so a run pays for the nodes its queries reach rather than for the
+whole graph. ``all_pairs`` builds the full table; it is kept as a reference
 for tests and the release gate, not used by the engine.
 """
 
@@ -37,20 +39,25 @@ class TooLargeError(ValueError):
     """Graph exceeds the all-pairs table threshold."""
 
 
-def bfs_distances(g: PortGraph, source: int, target: int | None = None) -> list[int]:
-    """Distances from ``source`` to every node; stops early once ``target`` is set."""
-    dist = [-1] * g.num_nodes
+def bfs_distances(g: PortGraph, source: int, target: int | None = None,
+                  row: tuple[list[int], deque[int]] | None = None) -> list[int]:
+    """Distances from ``source`` to every node; -1 for nodes not reached.
+
+    With a ``target`` the search stops once the target has its distance. A
+    distance is final when the search first assigns it, so the list is exact
+    wherever it is not -1. ``row`` is a ``(dist, queue)`` pair that an earlier
+    search from ``source`` left behind; the search resumes from its queue and
+    fills in its ``dist``, which it returns.
+    """
+    dist, queue = row or ([-1] * g.num_nodes, deque([source]))
     dist[source] = 0
-    queue = deque([source])
-    while queue:
+    adj = g._adj
+    while queue and (target is None or dist[target] < 0):
         v = queue.popleft()
-        if v == target:
-            break
-        dv = dist[v]
-        for p in g.ports(v):
-            w, _ = g.neighbor(v, p)
+        dv = dist[v] + 1
+        for w, _ in adj[v]:
             if dist[w] < 0:
-                dist[w] = dv + 1
+                dist[w] = dv
                 queue.append(w)
     return dist
 
@@ -65,30 +72,47 @@ def all_pairs(g: PortGraph, max_nodes: int = 4096) -> list[list[int]]:
 class DistanceOracle:
     """Per-run exact distance device over one immutable graph.
 
-    Construction does no work. Each query runs an early-stopping BFS and
-    memoises the answer on the unordered endpoint pair, which suits simulation
-    queries whose endpoints drift one hop per round. The memo holds at most
-    ``MEMO_LIMIT`` pairs and is emptied when full, so it stays flat over
-    arbitrarily long runs.
+    Construction does no work. The oracle keeps, for each source it has
+    searched from, that search's ``dist`` list and its BFS queue: a row that
+    is exact wherever it is filled in and that can be resumed. A query is
+    answered from the row of either endpoint when that row already reaches
+    the other one; otherwise a row of one endpoint is extended until it does,
+    and when neither endpoint has a row, a new row starts at ``v``. In a
+    simulation one agent often stays put while the other tries its ports one
+    by one; when the agent that stays has a row, that row answers the whole
+    sweep, each port at most one BFS level further on.
+
+    The rows hold at most ``ROW_LIMIT`` list entries in all (one row when a
+    single row is larger); when the next row would pass that, the rows are
+    dropped, so memory stays flat over arbitrarily long runs.
 
     ``table_threshold`` is ignored; it is accepted so that callers written for
     the former table-building oracle keep working.
     """
 
-    MEMO_LIMIT = 1 << 12
+    ROW_LIMIT = 1 << 18
 
     def __init__(self, g: PortGraph, table_threshold: int | None = None):
         self._g = g
-        self._memo: dict[tuple[int, int], int] = {}
+        self._rows: dict[int, tuple[list[int], deque[int]]] = {}
+        self._held = 0  # list entries across the rows
 
     def distance(self, u: int, v: int) -> int:
         if u == v:
             return 0
-        key = (u, v) if u < v else (v, u)
-        memo = self._memo
-        d = memo.get(key)
-        if d is None:
-            if len(memo) >= self.MEMO_LIMIT:
-                memo.clear()
-            d = memo[key] = bfs_distances(self._g, key[0], target=key[1])[key[1]]
-        return d
+        rows = self._rows
+        row = rows.get(u)
+        if row is not None and row[0][v] >= 0:
+            return row[0][v]
+        other = rows.get(v)
+        if other is not None:
+            return other[0][u] if other[0][u] >= 0 else bfs_distances(self._g, v, u, other)[u]
+        if row is not None:
+            return bfs_distances(self._g, u, v, row)[v]
+        n = self._g.num_nodes
+        if self._held + n > self.ROW_LIMIT:
+            rows.clear()
+            self._held = 0
+        self._held += n
+        row = rows[v] = ([-1] * n, deque([v]))
+        return bfs_distances(self._g, v, u, row)[u]

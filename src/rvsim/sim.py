@@ -263,29 +263,40 @@ def _run_lines(rows: Iterable[TraceRow]) -> Iterator[str]:
 
 def read_trace(fh: IO[str]) -> tuple[dict, list[TraceRow], dict]:
     """Read a format-2 trace, or a format-1 trace of one row record per round,
-    into its header, its rows and its result record. A run record is expanded
-    only after a format-2 header, and only as far as its round_cap allows."""
+    into its header, its rows and its result record.
+
+    A run record is accepted only after a format-2 header, and only while the
+    rows stay within its round_cap. Runs are held as their first row and a
+    count, and expanded once the whole file is read, and only if they come
+    to no more rows than the result record's ``rounds``: a trace holds at
+    most one row per round that its result counts."""
     header: dict | None = None
-    rows: list[TraceRow] = []
+    heads: list[TraceRow] = []  # the first row of each run
+    counts: list[int] = []  # the rows each run stands for
+    total = 0
     result: dict | None = None
+    result_line = 0
     cap = None  # the round_cap of a format-2 header
     new = tuple.__new__  # skips TraceRow's argument parsing
 
-    def expand(lineno: int, rnd: int, count: int, *tail: int) -> None:
+    def hold(lineno: int, rnd: int, count: int, *tail: int) -> None:
+        nonlocal total
         if type(cap) is not int:
             raise TraceFormatError("run record without a format-2 header with an integer "
                                    "round_cap before it", lineno)
         if count < 1:
             raise TraceFormatError(f"run count {count} is below 1", lineno)
-        if count > cap - len(rows):
+        if count > cap - total:
             raise TraceFormatError(f"run of {count} rows takes the trace past its "
                                    f"round_cap {cap}", lineno)
-        rows.extend([new(TraceRow, (r, *tail)) for r in range(rnd, rnd + count)])
+        heads.append(new(TraceRow, (rnd, *tail)))
+        counts.append(count)
+        total += count
 
     for lineno, line in enumerate(fh, start=1):
         m = _match_run_line(line)
         if m:
-            expand(lineno, *map(int, m.groups()))
+            hold(lineno, *map(int, m.groups()))
             continue
         if not line.strip():
             continue
@@ -308,11 +319,23 @@ def read_trace(fh: IO[str]) -> tuple[dict, list[TraceRow], dict]:
                     raise TraceFormatError(f"{kind} field {name!r} is not an integer", lineno)
             values = [rec[name] for name in names]
             if kind == "row":
-                rows.append(TraceRow._make(values))
+                heads.append(TraceRow._make(values))
+                counts.append(1)
+                total += 1
             else:
-                expand(lineno, *values)
+                hold(lineno, *values)
         elif kind == "result":
-            result = rec
+            result, result_line = rec, lineno
     if header is None or result is None:
         raise TraceFormatError("trace missing header or result record")
+    rounds = result.get("rounds")
+    if total and (type(rounds) is not int or total > rounds):
+        raise TraceFormatError(f"the runs hold {total} rows, but the result record "
+                               f"counts {rounds!r} rounds", result_line)
+    rows: list[TraceRow] = []
+    for head, count in zip(heads, counts):
+        rows.append(head)
+        if count > 1:
+            rnd, *tail = head
+            rows.extend([new(TraceRow, (r, *tail)) for r in range(rnd + 1, rnd + count)])
     return header, rows, result

@@ -166,17 +166,37 @@ class TestTraceCheck:
                               for r in run_rounds]
         assert summary == f"rows=72 violations={len(violations)}"
 
-    @pytest.mark.parametrize("damage", ["missing-trace", "not-json", "run-count", "other-graph",
-                                        "missing-graph"])
+    def test_truncated_trace_exits_1(self, traced, capsys):
+        """With the last run record gone, the rows fall short of the result's
+        rounds and end where the result does not."""
+        lines = traced.read_text().splitlines(keepends=True)
+        del lines[-2]
+        traced.write_text("".join(lines))
+        code, out, _ = self._check(traced, capsys)
+        assert (code, out) == (1, "trace: 71 rows, but the result counts 72 rounds\n"
+                                  "trace: the run ends at (2, 9), but the result says (9, 9)\n"
+                                  "rows=71 violations=2\n")
+
+    def test_edited_header_start_exits_1(self, traced, capsys):
+        traced.write_text(traced.read_text().replace('"start2": 15', '"start2": 3', 1))
+        code, out, _ = self._check(traced, capsys)
+        assert (code, out) == (1, "trace: the run starts at (0, 15), but the header says (0, 3)\n"
+                                  "rows=72 violations=1\n")
+
+    @pytest.mark.parametrize("damage", ["missing-trace", "not-json", "run-count",
+                                        "cap-and-count", "other-graph", "missing-graph"])
     def test_bad_file_or_graph_exits_2(self, traced, capsys, damage):
         graph = "g.txt"
         if damage == "missing-trace":
             traced.unlink()
         elif damage == "not-json":
             traced.write_text(traced.read_text().replace('"count"', "count", 1))
-        elif damage == "run-count":
-            traced.write_text(re.sub(r'"count": \d+', '"count": 100000000000000000',
-                                     traced.read_text(), count=1))
+        elif damage in ("run-count", "cap-and-count"):
+            text = re.sub(r'"count": \d+', '"count": 100000000000000000',
+                          traced.read_text(), count=1)
+            if damage == "cap-and-count":  # the count fits the cap, not the result's rounds
+                text = re.sub(r'"round_cap": \d+', '"round_cap": 1000000000000000000', text)
+            traced.write_text(text)
         elif damage == "other-graph":
             save_graph(generate_ring(30), "ring.txt")
             graph = "ring.txt"

@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from rvsim import (
     SimConfig,
     TooLargeError,
     all_pairs,
+    bfs_distances,
     build,
     butterfly_coords,
     butterfly_index,
@@ -103,9 +105,64 @@ def test_construction_runs_no_bfs(monkeypatch):
     monkeypatch.setattr(oracle_module, "bfs_distances",
                         lambda *args, **kwargs: calls.append(args) or bfs(*args, **kwargs))
     oracle = DistanceOracle(generate_ring(50))
-    assert calls == []
-    assert oracle.distance(0, 25) == oracle.distance(25, 0) == 25
-    assert len(calls) == 1  # one early-stopping BFS, then the memo
+    assert calls == [] and oracle._rows == {}
+    assert oracle.distance(0, 25) == 25
+    assert len(calls) == 1  # one search, from 25
+    assert oracle.distance(25, 0) == oracle.distance(0, 25) == 25
+    assert oracle.distance(24, 25) == oracle.distance(25, 26) == 1
+    assert len(calls) == 1  # the row of 25 already reaches 0, 24 and 26
+
+
+@given(st.integers(2, 60), st.integers(0, 30), st.data())
+def test_resumed_search_equals_one_search(n, seed, data):
+    """A search from one source resumed toward targets in any order is exact
+    wherever it is filled in, and when run out it equals one full search."""
+    g = generate_random_connected(n, 4, seed=seed)
+    source = data.draw(st.integers(0, n - 1), label="source")
+    full = bfs_distances(g, source)
+    row = ([-1] * n, deque([source]))
+    for target in data.draw(st.lists(st.integers(0, n - 1), max_size=6), label="targets"):
+        assert bfs_distances(g, source, target, row)[target] == full[target]
+        assert all(d in (-1, f) for d, f in zip(row[0], full))
+    assert bfs_distances(g, source, None, row) == full
+
+
+@st.composite
+def _engine_stream(draw):
+    """A graph and the queries of two agents on it: sweeps in which one
+    agent stays while the other steps out through a port and back, rounds
+    in which both step, and jumps to arbitrary nodes."""
+    n = draw(st.integers(2, 40))
+    g = generate_random_connected(n, draw(st.integers(2, 6)), seed=draw(st.integers(0, 50)))
+    pos = [draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))]
+    queries = [tuple(pos)]
+
+    def step(v):
+        return g.neighbor(v, draw(st.integers(1, g.degree(v))))[0]
+
+    for kind in draw(st.lists(st.sampled_from(("sweep1", "sweep2", "both", "jump")),
+                              max_size=12)):
+        if kind == "jump":
+            pos = [draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))]
+        elif kind == "both":
+            pos = [step(pos[0]), step(pos[1])]
+        else:
+            mover = int(kind[-1]) - 1
+            for p in g.ports(pos[mover]):
+                out = list(pos)
+                out[mover] = g.neighbor(pos[mover], p)[0]
+                queries += [tuple(out), tuple(pos)]
+            continue
+        queries.append(tuple(pos))
+    return g, queries
+
+
+@given(_engine_stream())
+def test_engine_shaped_streams_are_exact(stream):
+    g, queries = stream
+    oracle = DistanceOracle(g)
+    for u, v in queries:
+        assert oracle.distance(u, v) == bfs_distances(g, u)[v]
 
 
 @pytest.mark.parametrize("n, max_degree, seed", [(30, 3, 0), (200, 6, 1), (4200, 5, 2)])
@@ -123,15 +180,34 @@ def test_distances_match_networkx(n, max_degree, seed):
             assert oracle.distance(u, v) == oracle.distance(v, u) == lengths[v]
 
 
+def _held(oracle):
+    held = sum(len(dist) for dist, _ in oracle._rows.values())
+    assert held == oracle._held
+    return held
+
+
 def test_memo_stays_bounded_and_exact():
-    g = generate_ring(100)  # 4950 unordered pairs, more than the memo limit
-    assert g.num_nodes * (g.num_nodes - 1) // 2 > DistanceOracle.MEMO_LIMIT
+    g = generate_ring(100)
     table = all_pairs(g)
     oracle = DistanceOracle(g)
     for u in range(g.num_nodes):
         for v in range(g.num_nodes):
             assert oracle.distance(u, v) == table[u][v]
-            assert len(oracle._memo) <= DistanceOracle.MEMO_LIMIT
+            assert _held(oracle) <= DistanceOracle.ROW_LIMIT
+    # 64 rows of a 4096-node ring fill the limit, so the rows are dropped
+    # every 64 new sources
+    n = 4096
+    g = generate_ring(n)
+    oracle = DistanceOracle(g)
+    rng = random.Random(0)
+    held = []
+    for _ in range(600):
+        u = rng.randrange(n)
+        v = (u + rng.randrange(-40, 41)) % n
+        assert oracle.distance(u, v) == min((u - v) % n, (v - u) % n)
+        held.append(_held(oracle))
+    assert max(held) <= DistanceOracle.ROW_LIMIT
+    assert sum(1 for a, b in zip(held, held[1:]) if b < a) >= 5  # clears happened
 
 
 def test_meeting_round_does_not_depend_on_n():

@@ -314,7 +314,9 @@ class TestTraceReader:
     @pytest.mark.parametrize("which", ["multi", "single"])
     def test_run_token(self, name, token, value, which):
         """Respell one run line's round or count: the reader expands the run
-        from the value JSON gives that token, or raises naming the line."""
+        from the value JSON gives that token, or raises naming the line, or
+        naming the result line when the runs come to more rows than its
+        rounds."""
         i = (MULTI if which == "multi" else SINGLE)[1]
         lines = list(TRACE_LINES)
         lines[i] = _with_token(lines[i], name, token)
@@ -324,6 +326,8 @@ class TestTraceReader:
         else:
             runs[i - 1][name] = value
             expected = (RING6_HEADER, _expand(runs), json.loads(TRACE_LINES[-1]))
+            if len(expected[1]) > RING6_RUN.rounds:
+                expected = "error", len(lines)
         assert _read_or_error(read_trace, io.StringIO("".join(lines))) == expected
 
 
@@ -336,7 +340,8 @@ def _expand(runs):
 
 class TestRunRecordBounds:
     """A run record is expanded only after a format-2 header, with a count of
-    at least 1, and while the rows stay within the header's round_cap."""
+    at least 1, while the rows stay within the header's round_cap, and when
+    they come to no more than the result's rounds."""
 
     def _read(self, lines):
         return _read_or_error(read_trace, io.StringIO("".join(lines)))
@@ -348,6 +353,9 @@ class TestRunRecordBounds:
         room = RING6_CFG.round_cap - len(RING6_RUN.trace) + json.loads(TRACE_LINES[1])["count"]
         lines = list(TRACE_LINES)
         lines[1] = self._run_line(room)
+        # the rows stop at the cap, but pass the result's rounds
+        assert self._read(lines) == ("error", len(lines))
+        lines[-1] = _with_token(lines[-1], "rounds", str(RING6_CFG.round_cap))
         _, rows, _ = read_trace(io.StringIO("".join(lines)))
         assert len(rows) == RING6_CFG.round_cap
         lines[1] = self._run_line(room + 1)
@@ -360,6 +368,24 @@ class TestRunRecordBounds:
         assert self._read(lines) == ("error", 2)
         lines[1] = json.dumps({**json.loads(lines[1]), "count": 10 ** 30}) + "\n"
         assert self._read(lines) == ("error", 2)
+
+    def test_huge_cap_and_count_raise_before_expanding(self):
+        """A header may claim any round_cap; the result's rounds still bound
+        the rows before a run is expanded."""
+        lines = [json.dumps({**RING6_HEADER, "round_cap": 10 ** 18}) + "\n",
+                 self._run_line(10 ** 17), TRACE_LINES[-1]]
+        assert self._read(lines) == ("error", 3)
+
+    def test_rows_short_of_the_rounds_read(self):
+        lines = TRACE_LINES[:-2] + TRACE_LINES[-1:]
+        _, rows, _ = read_trace(io.StringIO("".join(lines)))
+        assert rows == RING6_RUN.trace[:len(rows)] and len(rows) < RING6_RUN.rounds
+
+    @pytest.mark.parametrize("rounds", [None, "27", 27.0, True])
+    def test_result_without_integer_rounds(self, rounds):
+        lines = list(TRACE_LINES)
+        lines[-1] = json.dumps({**json.loads(lines[-1]), "rounds": rounds}) + "\n"
+        assert self._read(lines) == ("error", len(lines))
 
     @pytest.mark.parametrize("count", [0, -1, -(10 ** 17)])
     def test_count_below_one(self, count):
