@@ -12,6 +12,7 @@ from .graphs import (
     InvalidParamsError,
     PortGapError,
     PortGraph,
+    bfs_distances,
     build,
     butterfly_coords,
     butterfly_index,
@@ -25,7 +26,7 @@ from .graphs import (
     load_graph,
     save_graph,
 )
-from .oracle import DistanceDelta, DistanceOracle, TooLargeError, all_pairs, bfs_distances, delta
+from .oracle import DistanceDelta, DistanceOracle, delta
 from .agents import (
     Action,
     AgentProgram,

@@ -22,8 +22,7 @@ from . import acceptance
 from .acceptance import SWEEP_COLUMNS, Cell, run_cell
 from .adversary import HorizonViolatedError, build_instance, verify_frozen_distance
 from .agents import default_round_cap, rendezvous_program, rendezvous_round_bound
-from .graphs import FAMILIES, load_graph, materialize, save_graph
-from .oracle import bfs_distances
+from .graphs import FAMILIES, bfs_distances, load_graph, materialize, save_graph
 from .sim import (MET, SimConfig, check_starts, read_trace, replay_check, run, trace_header,
                   write_trace)
 

@@ -1,4 +1,5 @@
-"""Port-labelled anonymous graphs: representation, validation, generators, file I/O.
+"""Port-labelled anonymous graphs: representation, validation, BFS distances,
+generators, file I/O.
 
 Every node of degree d labels its incident edges with the ports 1..d; the two
 endpoints of an edge carry independent port numbers. Walking agents only ever
@@ -60,8 +61,8 @@ class PortGraph:
 
     def __init__(self, adj: tuple[tuple[tuple[int, int], ...], ...]):
         self._adj = adj
-        self._max_degree = max((len(row) for row in adj), default=0)
-        self._num_edges = sum(len(row) for row in adj) // 2
+        self._max_degree = max(map(len, adj), default=0)
+        self._num_edges = sum(map(len, adj)) // 2
 
     @property
     def num_nodes(self) -> int:
@@ -94,9 +95,10 @@ class PortGraph:
                     yield u, pu, v, pv
 
     def to_text(self) -> str:
-        lines = [f"{self.num_nodes} {self.num_edges}"]
-        lines.extend(f"{u} {pu} {v} {pv}" for u, pu, v, pv in self.edges())
-        return "\n".join(lines) + "\n"
+        lines = [f"{u} {pu} {v} {pv}\n"
+                 for u, row in enumerate(self._adj)
+                 for pu, (v, pv) in enumerate(row, start=1) if u < v]
+        return f"{self.num_nodes} {self._num_edges}\n" + "".join(lines)
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()
@@ -119,7 +121,7 @@ def build(n: int, edges: list[tuple[int, int, int, int]]) -> PortGraph:
     """
     if n < 1:
         raise InvalidParamsError("need at least one node")
-    port_maps: list[dict[int, tuple[int, int]]] = [dict() for _ in range(n)]
+    port_maps: list[dict[int, tuple[int, int]]] = [{} for _ in range(n)]
     seen_pairs: set[tuple[int, int]] = set()
     for u, pu, v, pv in edges:
         if not (0 <= u < n and 0 <= v < n):
@@ -128,44 +130,58 @@ def build(n: int, edges: list[tuple[int, int, int, int]]) -> PortGraph:
             raise InvalidParamsError(f"self-loop at node {u}")
         if pu < 1 or pv < 1:
             raise InvalidParamsError(f"ports must be >= 1, got ({pu}, {pv})")
-        if pu in port_maps[u]:
+        at_u = port_maps[u]
+        at_v = port_maps[v]
+        if pu in at_u:
             raise DuplicatePortError(f"node {u}: port {pu} assigned twice")
-        if pv in port_maps[v]:
+        if pv in at_v:
             raise DuplicatePortError(f"node {v}: port {pv} assigned twice")
-        pair = (min(u, v), max(u, v))
+        pair = (u, v) if u < v else (v, u)
         if pair in seen_pairs:
             raise InvalidParamsError(f"parallel edge between {pair[0]} and {pair[1]}")
         seen_pairs.add(pair)
-        port_maps[u][pu] = (v, pv)
-        port_maps[v][pv] = (u, pu)
+        at_u[pu] = (v, pv)
+        at_v[pv] = (u, pu)
 
     adj_rows = []
     for v, pm in enumerate(port_maps):
+        # the ports at v are distinct integers >= 1, so they are exactly
+        # 1..deg when the largest is deg
         deg = len(pm)
-        if sorted(pm) != list(range(1, deg + 1)):
+        if deg and max(pm) != deg:
             raise PortGapError(f"node {v}: ports {sorted(pm)} are not exactly 1..{deg}")
-        adj_rows.append(tuple(pm[p] for p in range(1, deg + 1)))
+        adj_rows.append(tuple(map(pm.__getitem__, range(1, deg + 1))))
 
     g = PortGraph(tuple(adj_rows))
-    if n > 1:
-        reached = _bfs_component(g, 0)
-        if len(reached) != n:
-            missing = min(set(range(n)) - reached)
-            raise DisconnectedError(f"graph not connected: node {missing} unreachable from 0")
+    dist = bfs_distances(g, 0)
+    if -1 in dist:
+        raise DisconnectedError(f"graph not connected: node {dist.index(-1)} unreachable from 0")
     return g
 
 
-def _bfs_component(g: PortGraph, source: int) -> set[int]:
-    seen = {source}
-    queue = deque([source])
-    while queue:
+def bfs_distances(g: PortGraph, source: int, target: int | None = None,
+                  row: tuple[list[int], deque[int]] | None = None) -> list[int]:
+    """Distances from ``source`` to every node; -1 for nodes not reached.
+
+    This is rvsim's one BFS loop: ``build`` checks connectivity with it, and
+    the distance oracle, the CLI and the release gate measure with it. With a
+    ``target`` the search stops once the target has its distance. A distance
+    is final when the search first assigns it, so the list is exact wherever
+    it is not -1. ``row`` is a ``(dist, queue)`` pair that an earlier search
+    from ``source`` left behind; the search resumes from its queue and fills
+    in its ``dist``, which it returns.
+    """
+    dist, queue = row or ([-1] * g.num_nodes, deque([source]))
+    dist[source] = 0
+    adj = g._adj
+    while queue and (target is None or dist[target] < 0):
         v = queue.popleft()
-        for p in g.ports(v):
-            w, _ = g.neighbor(v, p)
-            if w not in seen:
-                seen.add(w)
+        dv = dist[v] + 1
+        for w, _ in adj[v]:
+            if dist[w] < 0:
+                dist[w] = dv
                 queue.append(w)
-    return seen
+    return dist
 
 
 # ----------------------------------------------------------------------------
@@ -187,22 +203,21 @@ def graph_from_text(text: str) -> PortGraph:
         raise GraphFormatError("non-integer header", line=1) from None
     if n > m + 1:  # checked before build allocates per-node state for n
         raise GraphFormatError(f"{n} nodes cannot be connected by {m} edges", line=1)
-    edges = []
-    body = [ln for ln in lines[1:]]
     # allow (and ignore) trailing blank lines only
-    while body and not body[-1].strip():
-        body.pop()
-    if len(body) != m:
-        raise GraphFormatError(f"expected {m} edge lines, found {len(body)}", line=len(lines))
-    for idx, ln in enumerate(body, start=2):
-        parts = ln.split()
+    end = len(lines)
+    while end > 1 and not lines[end - 1].strip():
+        end -= 1
+    if end - 1 != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {end - 1}", line=len(lines))
+    edges = []
+    for idx in range(1, end):
+        parts = lines[idx].split()
         if len(parts) != 4:
-            raise GraphFormatError("expected 'u p_u v p_v'", line=idx)
+            raise GraphFormatError("expected 'u p_u v p_v'", line=idx + 1)
         try:
-            u, pu, v, pv = (int(x) for x in parts)
+            edges.append(tuple(map(int, parts)))
         except ValueError:
-            raise GraphFormatError("non-integer field", line=idx) from None
-        edges.append((u, pu, v, pv))
+            raise GraphFormatError("non-integer field", line=idx + 1) from None
     try:
         return build(n, edges)
     except GraphError as exc:

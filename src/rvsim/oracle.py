@@ -1,12 +1,13 @@
-"""Distance queries over port graphs: exact BFS, an oracle built from
-resumable per-source BFS rows, change signs.
+"""Distance queries over port graphs: an oracle built from resumable
+per-source BFS rows, and change signs.
 
-``bfs_distances`` is the one BFS loop. It can stop once a target has its
-distance and be resumed later from the queue it left. The oracle keeps one
-such partial search per source and extends it only as far as the queries
-need, so a run pays for the nodes its queries reach rather than for the
-whole graph. ``all_pairs`` builds the full table; it is kept as a reference
-for tests and the release gate, not used by the engine.
+The one BFS loop, ``bfs_distances``, lives in ``graphs`` next to the
+adjacency it walks; ``build`` checks connectivity with it. It can stop once
+a target has its distance and be resumed later from the queue it left. The
+oracle keeps one such partial search per source and extends it only as far
+as the queries need, so a run pays for the nodes its queries reach rather
+than for the whole graph. The oracle calls it through this module's global,
+so a wrapper set on ``rvsim.oracle.bfs_distances`` sees the oracle's searches.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from collections import deque
 from enum import Enum
 
-from .graphs import PortGraph
+from .graphs import PortGraph, bfs_distances
 
 
 class DistanceDelta(Enum):
@@ -33,40 +34,6 @@ def delta(prev: int, curr: int) -> DistanceDelta:
     if curr > prev:
         return DistanceDelta.INCREASED
     return DistanceDelta.SAME
-
-
-class TooLargeError(ValueError):
-    """Graph exceeds the all-pairs table threshold."""
-
-
-def bfs_distances(g: PortGraph, source: int, target: int | None = None,
-                  row: tuple[list[int], deque[int]] | None = None) -> list[int]:
-    """Distances from ``source`` to every node; -1 for nodes not reached.
-
-    With a ``target`` the search stops once the target has its distance. A
-    distance is final when the search first assigns it, so the list is exact
-    wherever it is not -1. ``row`` is a ``(dist, queue)`` pair that an earlier
-    search from ``source`` left behind; the search resumes from its queue and
-    fills in its ``dist``, which it returns.
-    """
-    dist, queue = row or ([-1] * g.num_nodes, deque([source]))
-    dist[source] = 0
-    adj = g._adj
-    while queue and (target is None or dist[target] < 0):
-        v = queue.popleft()
-        dv = dist[v] + 1
-        for w, _ in adj[v]:
-            if dist[w] < 0:
-                dist[w] = dv
-                queue.append(w)
-    return dist
-
-
-def all_pairs(g: PortGraph, max_nodes: int = 4096) -> list[list[int]]:
-    """Full n-by-n distance table; refuses graphs above ``max_nodes``."""
-    if g.num_nodes > max_nodes:
-        raise TooLargeError(f"{g.num_nodes} nodes exceeds table threshold {max_nodes}")
-    return [bfs_distances(g, s) for s in range(g.num_nodes)]
 
 
 class DistanceOracle:

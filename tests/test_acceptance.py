@@ -6,6 +6,8 @@ explicit 2^20-label extraction walks the label trie, so labels that share a
 prefix share one simulation.
 """
 
+from collections import deque
+
 import pytest
 
 import rvsim
@@ -47,6 +49,26 @@ def test_criterion_4_symmetry_non_meeting():
 def test_criterion_5_lemma_properties(check):
     result = _report(check())
     assert result.cases >= 1000
+
+
+def test_criterion_5e_catches_a_wrong_bfs(monkeypatch):
+    # this loop counts every step after the first twice, so its rows are
+    # symmetric and agree with each other; only a table built without it
+    # can tell that they are wrong
+    def wrong_bfs(g, source, target=None, row=None):
+        dist, queue = row or ([-1] * g.num_nodes, deque([source]))
+        dist[source] = 0
+        while queue and (target is None or dist[target] < 0):
+            v = queue.popleft()
+            for w, _ in g._adj[v]:
+                if dist[w] < 0:
+                    dist[w] = dist[v] + (1 if v == source else 2)
+                    queue.append(w)
+        return dist
+
+    monkeypatch.setattr(rvsim.oracle, "bfs_distances", wrong_bfs)
+    result = acceptance.check_oracle_equivalence()
+    assert not result.passed and "mismatches" in result.detail
 
 
 def test_criterion_6_cli_determinism():

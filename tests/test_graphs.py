@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,6 +60,104 @@ def _rescanning_random_connected(size, max_degree, seed):
             port_of_edge[v][ei] = port
     return build(size, [(u, port_of_edge[u][ei], v, port_of_edge[v][ei])
                         for ei, (u, v) in enumerate(edge_pairs)])
+
+
+def _reference_build(n, edges):
+    """build as it was with a tuple pair key, a sorted-ports check and a
+    separate set-based connectivity search."""
+    if n < 1:
+        raise InvalidParamsError("need at least one node")
+    port_maps = [dict() for _ in range(n)]
+    seen_pairs = set()
+    for u, pu, v, pv in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidParamsError(f"edge endpoint out of range: ({u}, {v})")
+        if u == v:
+            raise InvalidParamsError(f"self-loop at node {u}")
+        if pu < 1 or pv < 1:
+            raise InvalidParamsError(f"ports must be >= 1, got ({pu}, {pv})")
+        if pu in port_maps[u]:
+            raise DuplicatePortError(f"node {u}: port {pu} assigned twice")
+        if pv in port_maps[v]:
+            raise DuplicatePortError(f"node {v}: port {pv} assigned twice")
+        pair = (min(u, v), max(u, v))
+        if pair in seen_pairs:
+            raise InvalidParamsError(f"parallel edge between {pair[0]} and {pair[1]}")
+        seen_pairs.add(pair)
+        port_maps[u][pu] = (v, pv)
+        port_maps[v][pv] = (u, pu)
+    adj_rows = []
+    for v, pm in enumerate(port_maps):
+        deg = len(pm)
+        if sorted(pm) != list(range(1, deg + 1)):
+            raise PortGapError(f"node {v}: ports {sorted(pm)} are not exactly 1..{deg}")
+        adj_rows.append(tuple(pm[p] for p in range(1, deg + 1)))
+    g = PortGraph(tuple(adj_rows))
+    if n > 1:
+        seen, queue = {0}, deque([0])
+        while queue:
+            v = queue.popleft()
+            for p in g.ports(v):
+                w, _ = g.neighbor(v, p)
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        if len(seen) != n:
+            missing = min(set(range(n)) - seen)
+            raise DisconnectedError(f"graph not connected: node {missing} unreachable from 0")
+    return g
+
+
+def _reference_graph_from_text(text):
+    """graph_from_text as it was, with a body copy and per-field int calls."""
+    lines = text.splitlines()
+    if not lines:
+        raise GraphFormatError("empty input", line=1)
+    head = lines[0].split()
+    if len(head) != 2:
+        raise GraphFormatError("expected 'n m' header", line=1)
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise GraphFormatError("non-integer header", line=1) from None
+    if n > m + 1:
+        raise GraphFormatError(f"{n} nodes cannot be connected by {m} edges", line=1)
+    edges = []
+    body = [ln for ln in lines[1:]]
+    while body and not body[-1].strip():
+        body.pop()
+    if len(body) != m:
+        raise GraphFormatError(f"expected {m} edge lines, found {len(body)}", line=len(lines))
+    for idx, ln in enumerate(body, start=2):
+        parts = ln.split()
+        if len(parts) != 4:
+            raise GraphFormatError("expected 'u p_u v p_v'", line=idx)
+        try:
+            u, pu, v, pv = (int(x) for x in parts)
+        except ValueError:
+            raise GraphFormatError("non-integer field", line=idx) from None
+        edges.append((u, pu, v, pv))
+    try:
+        return _reference_build(n, edges)
+    except GraphError as exc:
+        if isinstance(exc, GraphFormatError):
+            raise
+        raise GraphFormatError(str(exc)) from exc
+
+
+def _reference_to_text(g):
+    """PortGraph.to_text as it was, rendered through edges()."""
+    lines = [f"{g.num_nodes} {g.num_edges}"]
+    lines.extend(f"{u} {pu} {v} {pv}" for u, pu, v, pv in g.edges())
+    return "\n".join(lines) + "\n"
+
+
+def _outcome(fn, *args):
+    """What a call gives: ("ok", value) or (exception type, message)."""
+    try:
+        return "ok", fn(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
 
 
 def scan_ports_and_symmetry(g):
@@ -310,7 +409,7 @@ class TestFileFormat:
         with pytest.raises(GraphFormatError, match="line 1"):
             graph_from_text("1" + "0" * 30 + " 0\n")
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=250, deadline=None)
     @given(st.one_of(_mutated_graph_text(), st.text(max_size=60)))
     def test_any_text_parses_or_raises_graph_error(self, text):
         try:
@@ -324,3 +423,98 @@ class TestFileFormat:
         g = generate_ring(8)
         assert g.content_hash() == generate_ring(8).content_hash()
         assert g.content_hash() != generate_ring(10).content_hash()
+
+
+@st.composite
+def _edge_lists(draw):
+    """``(n, edges)`` for build: a small valid graph's edges, shuffled and
+    reoriented, then broken in zero or more ways."""
+    n = draw(st.integers(1, 8))
+    edges = []
+    if n > 1:
+        g = generate_random_connected(n, draw(st.integers(2, 4)), draw(st.integers(0, 10 ** 6)))
+        edges = [list(e) for e in g.edges()]
+    edges = [e[2:] + e[:2] if draw(st.booleans()) else e for e in draw(st.permutations(edges))]
+    kinds = ("endpoint", "self-loop", "port", "duplicate", "parallel", "gap", "drop",
+             "union", "grow", "shrink", "one-node")
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=3)):
+        degree = [0] * n
+        for u, _, v, _ in edges:
+            if 0 <= u < n and 0 <= v < n:
+                degree[u] += 1
+                degree[v] += 1
+        e = edges[draw(st.integers(0, len(edges) - 1))] if edges else None
+        end = draw(st.sampled_from((0, 2)))  # which endpoint of e to touch
+        if kind == "union":  # a second component on nodes n..
+            k = draw(st.integers(1, 4))
+            if k > 1:
+                other = generate_random_connected(k, 3, draw(st.integers(0, 99)))
+                edges += [[u + n, pu, v + n, pv] for u, pu, v, pv in other.edges()]
+            n += k
+        elif kind == "grow":
+            n += 1
+        elif kind == "shrink":
+            n -= 1
+        elif kind == "one-node":
+            n = 1
+        elif e is None:
+            continue
+        elif kind == "endpoint":
+            e[end] = draw(st.sampled_from((-1, n, n + 2)))
+        elif kind == "self-loop":
+            e[2 - end] = e[end]
+        elif kind == "port":
+            e[end + 1] = draw(st.integers(-2, 0))
+        elif kind == "duplicate":  # a new edge reusing a port of e's endpoint
+            edges.append([e[end], e[end + 1], draw(st.integers(0, max(n - 1, 0))),
+                          draw(st.integers(1, 4))])
+        elif kind == "parallel":  # e again, either way round, on fresh ports
+            u, v = e[end], e[2 - end]
+            if 0 <= u < n and 0 <= v < n:
+                edges.append([u, degree[u] + 1, v, degree[v] + 1])
+        elif kind == "gap":
+            e[end + 1] += draw(st.integers(1, 3))
+        elif kind == "drop":
+            edges.remove(e)
+    return n, [tuple(e) for e in edges]
+
+
+@st.composite
+def _graph_files(draw):
+    """The file of an ``_edge_lists`` case, with at most one field respelled."""
+    n, edges = draw(_edge_lists())
+    lines = [[str(n), str(len(edges))]] + [list(map(str, e)) for e in edges]
+    if draw(st.booleans()):
+        fields = lines[draw(st.integers(0, len(lines) - 1))]
+        fields[draw(st.integers(0, len(fields) - 1))] = draw(_FIELDS)
+    return "".join(" ".join(fields) + "\n" for fields in lines)
+
+
+class TestAgainstReference:
+    """build, graph_from_text and to_text give what the earlier versions
+    gave: equal graphs, equal bytes, or the same error type and message."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(_edge_lists())
+    def test_build(self, case):
+        n, edges = case
+        assert _outcome(build, n, edges) == _outcome(_reference_build, n, edges)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(_mutated_graph_text(), _graph_files()))
+    def test_graph_from_text(self, text):
+        assert _outcome(graph_from_text, text) == _outcome(_reference_graph_from_text, text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(
+        st.builds(lambda d, k, seed: generate_caterpillar(d, k, "random", seed).graph,
+                  st.integers(1, 6), st.integers(2, 6), st.integers(0, 99)),
+        st.builds(generate_butterfly, st.sampled_from((3, 5)), st.integers(6, 9)),
+        st.builds(generate_ring, st.integers(3, 20), st.just("random"), st.integers(0, 99)),
+        st.builds(generate_random_connected, st.integers(2, 60), st.integers(2, 8),
+                  st.integers(0, 10 ** 6))))
+    def test_to_text(self, g):
+        assert g.to_text() == _reference_to_text(g)
+
+    def test_single_node(self):
+        assert build(1, []).to_text() == _reference_to_text(_reference_build(1, [])) == "1 0\n"

@@ -9,8 +9,6 @@ from rvsim import (
     DistanceDelta,
     DistanceOracle,
     SimConfig,
-    TooLargeError,
-    all_pairs,
     bfs_distances,
     build,
     butterfly_coords,
@@ -23,6 +21,7 @@ from rvsim import (
     rendezvous_program,
     run,
 )
+from rvsim.acceptance import _floyd_warshall
 
 
 def test_identity_and_single_edge():
@@ -35,11 +34,11 @@ def test_identity_and_single_edge():
 
 def test_path_table():
     g = build(3, [(0, 1, 1, 1), (1, 2, 2, 1)])
-    assert all_pairs(g) == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    assert _floyd_warshall(g) == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
 
 
 def test_ring_antipodal():
-    assert all_pairs(generate_ring(6))[0][3] == 3
+    assert _floyd_warshall(generate_ring(6))[0][3] == 3
 
 
 def test_butterfly_cross_check():
@@ -59,16 +58,10 @@ def test_delta_classification():
         delta(-1, 0)
 
 
-def test_all_pairs_too_large():
-    g = generate_ring(12)
-    with pytest.raises(TooLargeError):
-        all_pairs(g, max_nodes=10)
-
-
 @pytest.mark.parametrize("seed", range(5))
 def test_bfs_matches_table_exhaustively(seed):
     g = generate_random_connected(40, 6, seed=seed)
-    table = all_pairs(g)
+    table = _floyd_warshall(g)
     oracle = DistanceOracle(g)
     for u in range(g.num_nodes):
         for v in range(g.num_nodes):
@@ -78,7 +71,7 @@ def test_bfs_matches_table_exhaustively(seed):
 @given(st.integers(2, 40), st.integers(0, 50), st.data())
 def test_triangle_inequality_sampled(n, seed, data):
     g = generate_random_connected(n, 6, seed=seed)
-    table = all_pairs(g)
+    table = _floyd_warshall(g)
     u = data.draw(st.integers(0, n - 1))
     v = data.draw(st.integers(0, n - 1))
     w = data.draw(st.integers(0, n - 1))
@@ -91,7 +84,7 @@ def test_triangle_inequality_sampled(n, seed, data):
 def test_unit_step_property(n, seed):
     # adjacent endpoints shift any distance by at most one
     g = generate_random_connected(n, 5, seed=seed)
-    table = all_pairs(g)
+    table = _floyd_warshall(g)
     for u in range(n):
         for p in g.ports(u):
             w, _ = g.neighbor(u, p)
@@ -180,6 +173,16 @@ def test_distances_match_networkx(n, max_degree, seed):
             assert oracle.distance(u, v) == oracle.distance(v, u) == lengths[v]
 
 
+@pytest.mark.parametrize("n, max_degree, seed", [(2, 2, 0), (25, 3, 1), (60, 6, 2)])
+def test_floyd_warshall_matches_networkx(n, max_degree, seed):
+    nx = pytest.importorskip("networkx")
+    g = generate_random_connected(n, max_degree, seed=seed)
+    ref = nx.Graph()
+    ref.add_edges_from((u, v) for u, _, v, _ in g.edges())
+    lengths = dict(nx.all_pairs_shortest_path_length(ref))
+    assert _floyd_warshall(g) == [[lengths[u][v] for v in range(n)] for u in range(n)]
+
+
 def _held(oracle):
     held = sum(len(dist) for dist, _ in oracle._rows.values())
     assert held == oracle._held
@@ -188,7 +191,7 @@ def _held(oracle):
 
 def test_memo_stays_bounded_and_exact():
     g = generate_ring(100)
-    table = all_pairs(g)
+    table = _floyd_warshall(g)
     oracle = DistanceOracle(g)
     for u in range(g.num_nodes):
         for v in range(g.num_nodes):
