@@ -95,10 +95,8 @@ class PortGraph:
                     yield u, pu, v, pv
 
     def to_text(self) -> str:
-        lines = [f"{u} {pu} {v} {pv}\n"
-                 for u, row in enumerate(self._adj)
-                 for pu, (v, pv) in enumerate(row, start=1) if u < v]
-        return f"{self.num_nodes} {self._num_edges}\n" + "".join(lines)
+        return f"{self.num_nodes} {self._num_edges}\n" + "".join(
+            f"{u} {pu} {v} {pv}\n" for u, pu, v, pv in self.edges())
 
     def content_hash(self) -> str:
         return hashlib.sha256(self.to_text().encode()).hexdigest()

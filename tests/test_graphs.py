@@ -409,7 +409,7 @@ class TestFileFormat:
         with pytest.raises(GraphFormatError, match="line 1"):
             graph_from_text("1" + "0" * 30 + " 0\n")
 
-    @settings(max_examples=250, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(st.one_of(_mutated_graph_text(), st.text(max_size=60)))
     def test_any_text_parses_or_raises_graph_error(self, text):
         try:
