@@ -50,6 +50,7 @@ from .sim import (
     InvalidStartError,
     RunResult,
     SimConfig,
+    Trace,
     TraceFormatError,
     TraceRow,
     read_trace,
@@ -65,7 +66,6 @@ from .adversary import (
     PortSequence,
     build_instance,
     choose_ports,
-    class_string,
     extract_port_sequence,
     extract_port_sequences,
     find_label_pair,

@@ -355,8 +355,7 @@ def check_delta_sufficiency(cases: int = 1000) -> CriterionResult:
         for mode in ("exact", "delta"):
             res = run(g, s1, s2, rendezvous_program(l1), rendezvous_program(l2),
                       SimConfig(round_cap=cap, oracle_mode=mode))
-            outs.append((res.met_round,
-                         [(r.port1, r.port2, r.next1, r.next2) for r in res.trace]))
+            outs.append((res.met_round, res.trace))
         if outs[0] != outs[1]:
             bad += 1
     return CriterionResult("5d-delta-sufficiency", bad == 0, cases,

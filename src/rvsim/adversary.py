@@ -392,10 +392,12 @@ def verify_frozen_distance(instance: AdversaryInstance,
     result = run(instance.graph, instance.start1, instance.start2,
                  make_program(instance.label1), make_program(instance.label2),
                  SimConfig(round_cap=cap, oracle_mode="exact", trace_detail="full"))
-    dists = [row.dist for row in result.trace]
-    dists.append(DistanceOracle(instance.graph).distance(result.final1, result.final2))
-    verified = next((r for r, d in enumerate(dists) if d != instance.distance),
-                    len(dists))
+    # a run's rows share one distance, so the first differing row starts a run
+    verified = next((head.round for head, _ in result.trace.runs()
+                     if head.dist != instance.distance), None)
+    if verified is None:
+        final = DistanceOracle(instance.graph).distance(result.final1, result.final2)
+        verified = len(result.trace) + (final == instance.distance)
     if verified < instance.agreement_horizon:
         raise HorizonViolatedError(
             f"distance deviated in round {verified}, before the promised "

@@ -23,8 +23,8 @@ from .acceptance import SWEEP_COLUMNS, Cell, run_cell
 from .adversary import HorizonViolatedError, build_instance, verify_frozen_distance
 from .agents import default_round_cap, rendezvous_program, rendezvous_round_bound
 from .graphs import FAMILIES, bfs_distances, load_graph, materialize, save_graph
-from .sim import (MET, SimConfig, check_starts, read_trace, replay_check, run, trace_header,
-                  write_trace)
+from .sim import (MET, SimConfig, Trace, check_starts, read_trace, replay_check, run,
+                  trace_header, write_trace)
 
 
 def _ints(text: str) -> list[int]:
@@ -255,7 +255,7 @@ def cmd_lowerbound(args) -> int:
 # trace check
 # ----------------------------------------------------------------------------
 
-def _record_violations(header: dict, rows: list, result: dict) -> list[str]:
+def _record_violations(header: dict, rows: Trace, result: dict) -> list[str]:
     """Where the rows disagree with the header's starts or with the result's
     round count and final positions."""
     violations = []

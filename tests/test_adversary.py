@@ -161,7 +161,7 @@ class TestFindLabelPair:
         degree = 8
         seqs = [PortSequence(lab, bytes(rng.randint(0, degree) for _ in range(12)))
                 for lab in range(10)]
-        from rvsim import class_string
+        from rvsim.adversary import class_string
         best = -1
         for a, b in itertools.combinations(seqs, 2):
             sa = class_string(a, degree, 2, 3)

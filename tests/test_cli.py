@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import re
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -182,6 +183,41 @@ class TestTraceCheck:
         code, out, _ = self._check(traced, capsys)
         assert (code, out) == (1, "trace: the run starts at (0, 15), but the header says (0, 3)\n"
                                   "rows=72 violations=1\n")
+
+    def _forge(self, traced, counts, round_cap):
+        """Replace the body of the trace with clean idle runs of these counts
+        at the start positions, under a header with this round_cap and a
+        result that counts their rows."""
+        header, first, *_, result = map(json.loads, traced.read_text().splitlines())
+        idle = {**first, "port1": 0, "port2": 0, "arrival1": 0, "arrival2": 0,
+                "next1": first["pos1"], "next2": first["pos2"]}
+        records = [{**header, "round_cap": round_cap}]
+        rnd = 0
+        for count in counts:
+            records.append({**idle, "round": rnd, "count": count})
+            rnd += count
+        records.append({**result, "outcome": "cap", "met_round": None, "rounds": rnd,
+                        "final1": first["pos1"], "final2": first["pos2"],
+                        "min_distance": first["dist"]})
+        traced.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+
+    @pytest.mark.parametrize("rows", [10 ** 17, sys.maxsize])
+    def test_huge_idle_run_is_checked_once(self, traced, capsys, rows):
+        """A clean idle run of 10^17 rows (18 digits, the regex path) or of
+        sys.maxsize rows (19 digits, the json.loads path) is never expanded."""
+        self._forge(traced, [rows], 10 ** 18 if rows < 10 ** 18 else 10 ** 19)
+        code, out, _ = self._check(traced, capsys)
+        assert (code, out) == (0, f"rows={rows} violations=0\n")
+
+    @pytest.mark.parametrize("counts", [[10 ** 19], [5 * 10 ** 18, 5 * 10 ** 18]])
+    def test_rows_past_maxsize_exit_2(self, traced, capsys, counts):
+        """len() cannot report more than sys.maxsize rows, so such a trace is
+        malformed, whatever its round_cap."""
+        self._forge(traced, counts, 10 ** 20)
+        code, out, err = self._check(traced, capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: line {len(counts) + 1}: run of {counts[-1]} rows takes the "
+                       f"trace past {sys.maxsize} rows\n")
 
     @pytest.mark.parametrize("damage", ["missing-trace", "not-json", "run-count",
                                         "cap-and-count", "other-graph", "missing-graph"])

@@ -15,6 +15,7 @@ from rvsim import (
     Observation,
     RunResult,
     SimConfig,
+    Trace,
     TraceFormatError,
     TraceRow,
     build,
@@ -138,8 +139,8 @@ class TestReplayCheck:
     @pytest.mark.parametrize("field", ["pos1", "pos2", "next1", "next2"])
     def test_node_outside_graph_is_a_violation(self, node, field):
         g = generate_ring(6)
-        rows = run(g, 0, 3, rendezvous_program(2), rendezvous_program(3),
-                   SimConfig(round_cap=300)).trace
+        rows = list(run(g, 0, 3, rendezvous_program(2), rendezvous_program(3),
+                        SimConfig(round_cap=300)).trace)
         rows[4] = rows[4]._replace(**{field: node})
         problems = replay_check(rows, g)
         assert any(p.startswith("row 4: ") and "outside 0..5" in p for p in problems)
@@ -763,3 +764,55 @@ class TestMatchesReferenceTraceIO:
                 # the same row again right after it, under a new round
                 rows.insert(i + 1, rows[i]._replace(round=data.draw(st.integers(-5, 10 ** 6))))
         assert replay_check(rows, BUTTERFLY) == _reference_replay(rows, BUTTERFLY)
+
+
+@st.composite
+def _rows_from_tail_pool(draw):
+    """Rows drawn from a few tails in which no agent moves and a few in which
+    one does, each repeated under consecutive rounds or after a round gap."""
+    small = st.integers(-2, 6)
+    idle = st.tuples(small, small, small, small, small).map(
+        lambda t: (t[0], t[1], t[2], t[3], t[4], 0, 0, t[0], t[1]))
+    moving = st.tuples(*[small] * 9)
+    tails = draw(st.lists(idle | moving, min_size=1, max_size=4))
+    rows = []
+    rnd = draw(st.integers(-3, 3))
+    for _ in range(draw(st.integers(0, 12))):
+        tail = draw(st.sampled_from(tails))
+        for _ in range(draw(st.integers(1, 5))):
+            rows.append(TraceRow(rnd, *tail))
+            rnd += draw(st.sampled_from([1, 1, 1, 0, 2, -1]))
+    return rows
+
+
+class TestTraceSequence:
+    @given(_rows_from_tail_pool() | _rows_with_repeated_tails(), st.data())
+    def test_reads_as_its_rows(self, rows, data):
+        """A Trace of any row list iterates, measures, indexes and compares
+        as that list, and its runs are the reference writer's runs."""
+        trace = Trace(rows)
+        assert list(trace) == rows and len(trace) == len(rows)
+        assert trace == rows and rows == trace and trace == Trace(list(trace))
+        assert not (trace != rows or rows != trace)
+        runs = [[head[0], count, head[1:]] for head, count in trace.runs()]
+        assert [json.dumps({"kind": "rows", "round": int(rnd), "count": count,
+                            **{f: int(v) for f, v in zip(TraceRow._fields[1:], tail)}}) + "\n"
+                for rnd, count, tail in runs] == _reference_run_lines(rows)
+        if rows:
+            i = data.draw(st.integers(-len(rows), len(rows) - 1), label="index")
+            assert trace[i] == rows[i] and type(trace[i]) is TraceRow
+            other = rows[:i] + [rows[i]._replace(dist=rows[i].dist + 1)] + rows[i + 1:]
+            assert trace != other and other != trace and trace != Trace(other)
+            assert trace != rows[:-1] and rows + rows[-1:] != trace
+        for i in (len(rows), -len(rows) - 1):
+            with pytest.raises(IndexError):
+                trace[i]
+        bound = st.none() | st.integers(-len(rows) - 2, len(rows) + 2)
+        cut = slice(data.draw(bound, label="start"), data.draw(bound, label="stop"),
+                    data.draw(bound.filter(lambda step: step != 0), label="step"))
+        assert trace[cut] == rows[cut]
+
+    def test_engine_trace_holds_runs(self):
+        """The engine records the runs that grouping its rows gives."""
+        assert BUTTERFLY_ROWS == Trace(list(BUTTERFLY_ROWS))
+        assert len(list(BUTTERFLY_ROWS.runs())) < len(BUTTERFLY_ROWS) / 4
