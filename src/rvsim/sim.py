@@ -385,7 +385,6 @@ def read_trace(fh: IO[str]) -> tuple[dict, Trace, dict]:
     result_line = 0
     cap = None  # the round_cap of a format-2 header
     new = tuple.__new__  # skips TraceRow's argument parsing
-
     tails: dict[str, tuple] = {}  # a run line's tail text -> its nine fields
 
     def add(rnd: int, count: int, tail: tuple) -> None:
