@@ -32,17 +32,12 @@ from .agents import (
     AgentProgram,
     Observation,
     ProcEvent,
-    bound_degrees_program,
     ceil_log2,
-    compare_labels_program,
-    constant_program,
     default_round_cap,
     degree_class,
-    idle_program,
     label_bit_length,
     rendezvous_program,
     rendezvous_round_bound,
-    probe_ports_program,
 )
 from .sim import (
     CAP,

@@ -38,14 +38,12 @@ class Observation(NamedTuple):
 
     ``arrival_port`` is 0 when the agent stayed put last round, else the entry
     port of the edge it traversed. ``distance_reading`` is the exact hop count
-    or a DistanceDelta, depending on the engine's oracle mode. ``met`` is
-    always False in delivered observations: co-location halts the run first.
+    or a DistanceDelta, depending on the engine's oracle mode.
     """
 
     degree: int
     arrival_port: int
     distance_reading: int | DistanceDelta
-    met: bool = False
 
 
 # An action is just the chosen port number; 0 or out-of-range means stay.
@@ -101,16 +99,11 @@ _START = 0  # the first observation starts the outermost sub-machine
 _TRY = 1    # the sweep just tried port i
 _BACK = 2   # the sweep just retraced a try that did not get closer
 _READ = 3   # paused on a label read; only unlabelled programs, see supply_bit
-_CONST = 4  # a stub that answers the same port every round
-_DONE = 5   # a stand-alone sub-machine returned; idle from now on
 
 # What happens when the current degree-bounding call returns (AgentProgram._phase).
-_FIRST = 0          # strategy: bound again while it succeeds
-_COMPARE = 1        # strategy: walking the extended label's bits
-_FINAL = 2          # strategy: bound forever with the bit the comparison chose
-_PROBE_ONLY = 3     # stand-alone sub-machines: return when that machine does
-_BOUND_ONLY = 4
-_COMPARE_ONLY = 5
+_FIRST = 0    # bound again while it succeeds
+_COMPARE = 1  # walking the extended label's bits
+_FINAL = 2    # bound forever with the bit the comparison chose
 
 
 class AgentProgram:
@@ -129,26 +122,24 @@ class AgentProgram:
     names ``j`` and ``supply_bit`` finishes the paused step. ``fork`` copies
     the state, so extraction over many labels steps each shared prefix once.
 
-    Stand-alone sub-machine programs idle once their machine returns and keep
-    its return value in ``result``. Build programs with ``rendezvous_program``
-    or the sub-machine and stub factories below.
+    With ``record_events`` the program logs a ProcEvent as each sub-machine
+    call enters and exits, so tests check the lemmas on the strategy itself.
+    Build programs with ``rendezvous_program``.
     """
 
-    __slots__ = ("_stage", "_phase", "_label", "_round", "_events", "result",
-                 "_delta", "_live", "_i", "_before", "_b", "_level", "_top", "_j",
-                 "_port")
+    __slots__ = ("_stage", "_phase", "_label", "_round", "_events",
+                 "_delta", "_live", "_i", "_before", "_b", "_level", "_top", "_j")
 
-    def __init__(self, phase: int, label: int | None = None, record_events: bool = False):
+    def __init__(self, label: int | None = None, record_events: bool = False):
         if label is not None and label < 0:
             raise ValueError("labels are non-negative")
         self._stage = _START
-        self._phase = phase
+        self._phase = _FIRST
         self._label = label
         self._round = 0
         self._events: list[ProcEvent] | None = [] if record_events else None
-        self.result = None
-        self._delta = self._live = self._i = self._b = 0
-        self._level = self._top = self._j = self._port = 0
+        self._delta = self._live = self._i = self._level = self._top = self._j = 0
+        self._b = 1  # the first loop bounds degrees with a live top sweep
         # before the sweep's last try; while paused, the observation to resume from
         self._before: Observation | None = None
 
@@ -194,14 +185,10 @@ class AgentProgram:
                 self._stage = _BACK
                 port = obs.arrival_port * self._live  # retrace the same edge
         elif stage == _START:
-            port = self._start(obs)
-        elif stage == _CONST:
-            port = self._port
-        elif stage == _DONE:
-            return 0
+            port = self._bound(self._b, obs)
         else:
             raise RuntimeError(f"label bit {self._j} was never supplied")
-        if port is None:  # returned or paused: no move this step
+        if port is None:  # paused on a label read: no move this step
             return 0
         self._round += 1
         return port
@@ -223,14 +210,6 @@ class AgentProgram:
         if self._events is not None:
             self._events.append(ProcEvent(self._round, proc, kind, info))
 
-    def _start(self, obs: Observation) -> Action | None:
-        phase = self._phase
-        if phase == _PROBE_ONLY:
-            return self._probe(self._delta, self._live, obs)
-        if phase == _COMPARE_ONLY:
-            return self._compare(obs)
-        return self._bound(self._b, obs)
-
     def _probe(self, delta: int, live: int, obs: Observation) -> Action | None:
         """Port sweep: try ports 1..delta (times ``live``), undoing every try
         that did not get closer. Success on the first round whose post-move
@@ -246,8 +225,6 @@ class AgentProgram:
 
     def _probe_done(self, s: bool, obs: Observation) -> Action | None:
         self._log("probe_ports", "exit", s)
-        if self._phase == _PROBE_ONLY:
-            return self._finish(s)
         level = self._level
         if s or level == self._top:
             self._log("bound_degrees", "exit", s)
@@ -281,8 +258,6 @@ class AgentProgram:
             return self._compare(obs)
         if phase == _FINAL:
             return self._bound(self._b, obs)
-        if phase == _BOUND_ONLY:
-            return self._finish(s)
         if s:  # comparing labels: bit j produced the first success
             self._log("compare_labels", "exit", self._b, self._j)
             return self._compare_done(self._b, obs)
@@ -317,54 +292,14 @@ class AgentProgram:
         return self._bound(bit, obs)
 
     def _compare_done(self, bit: int, obs: Observation) -> Action | None:
-        if self._phase == _COMPARE_ONLY:
-            return self._finish(bit)
         self._phase = _FINAL
         return self._bound(bit, obs)
-
-    def _finish(self, result) -> None:
-        self._stage = _DONE
-        self.result = result
-        return None
 
 
 def rendezvous_program(label: int | None, record_events: bool = False) -> AgentProgram:
     """The full strategy for one agent; runs until the engine halts it.
     ``label=None`` gives the unlabelled program that trie extraction forks."""
-    prog = AgentProgram(_FIRST, label, record_events)
-    prog._b = 1
-    return prog
-
-
-# ----------------------------------------------------------------------------
-# stand-alone sub-machines and simple stubs (test harness fodder; the
-# sub-machines idle forever after returning, with the outcome in .result)
-# ----------------------------------------------------------------------------
-
-def probe_ports_program(delta: int, b: int) -> AgentProgram:
-    prog = AgentProgram(_PROBE_ONLY, record_events=True)
-    prog._delta, prog._live = delta, b
-    return prog
-
-
-def bound_degrees_program(b: int) -> AgentProgram:
-    prog = AgentProgram(_BOUND_ONLY, record_events=True)
-    prog._b = b
-    return prog
-
-
-def compare_labels_program(label: int) -> AgentProgram:
-    return AgentProgram(_COMPARE_ONLY, label, record_events=True)
-
-
-def constant_program(port: int) -> AgentProgram:
-    prog = AgentProgram(_FIRST)
-    prog._stage, prog._port = _CONST, port
-    return prog
-
-
-def idle_program() -> AgentProgram:
-    return constant_program(0)
+    return AgentProgram(label, record_events)
 
 # ----------------------------------------------------------------------------
 # round-count bounds

@@ -186,9 +186,10 @@ def cmd_sweep(args) -> int:
     work = cells * repeat  # repeats grouped by position: work[i::len(cells)]
     if jobs > 1 and len(work) > 1:
         # imported here, not at the top: importing the process pool adds about
-        # 2.6 MB to every process that imports this module
+        # 2.6 MB to every process that imports this module. The pool forks
+        # all its workers up front, so ask for no more than there is work.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             results = list(pool.map(run_cell, work, chunksize=8))
     else:
         results = [run_cell(c) for c in work]

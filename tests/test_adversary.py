@@ -16,7 +16,6 @@ from rvsim import (
     butterfly_coords,
     butterfly_index,
     choose_ports,
-    constant_program,
     extract_port_sequence,
     extract_port_sequences,
     find_label_pair,
@@ -30,6 +29,7 @@ from rvsim import (
     verify_frozen_distance,
 )
 from rvsim.adversary import class_table, default_extraction_horizon
+from stubs import Constant
 
 
 class TestExtraction:
@@ -44,11 +44,11 @@ class TestExtraction:
         assert a == b
 
     def test_constant_stub(self):
-        seq = extract_port_sequence(lambda lab: constant_program(3), 0, 16, 5, 20)
+        seq = extract_port_sequence(lambda lab: Constant(3), 0, 16, 5, 20)
         assert seq.ports == bytes([3] * 20)
 
     def test_out_of_range_actions_normalize_to_stay(self):
-        seq = extract_port_sequence(lambda lab: constant_program(99), 0, 16, 5, 6)
+        seq = extract_port_sequence(lambda lab: Constant(99), 0, 16, 5, 6)
         assert seq.ports == bytes(6)
 
     def test_odd_degree_rejected(self):

@@ -7,27 +7,24 @@ from hypothesis import given, strategies as st
 from rvsim import (
     CAP,
     MET,
+    ProcEvent,
     SimConfig,
-    bound_degrees_program,
+    TraceRow,
     build,
     ceil_log2,
-    compare_labels_program,
-    constant_program,
     degree_class,
     generate_caterpillar,
     generate_random_connected,
     generate_ring,
-    idle_program,
     label_bit_length,
     rendezvous_program,
     rendezvous_round_bound,
     run,
-    probe_ports_program,
 )
 from rvsim.acceptance import _event_prefix, _joint_live_failures
 from rvsim.agents import Observation, extended_bit
+from stubs import Constant
 
-PATH3 = build(3, [(0, 1, 1, 1), (1, 2, 2, 1)])
 EDGE = build(2, [(0, 1, 1, 1)])
 
 
@@ -81,80 +78,151 @@ class TestExtendedLabels:
         assert all(bits[j - 1] == 0 for j in range(2, 2 * k, 2))
 
 
+def _calls(events, proc):
+    """Each call of one sub-machine as its (enter, exit) events, in call
+    order; exit is None for a call the run cut short."""
+    mine = [e for e in events if e.proc == proc]
+    assert {e.kind for e in mine[::2]} <= {"enter"} and {e.kind for e in mine[1::2]} <= {"exit"}
+    return list(itertools.zip_longest(mine[::2], mine[1::2]))
+
+
+def _frozen_run(degree, rounds):
+    """Step the strategy with label 5 (extended bits 1,0,0,0,1,1) through a
+    world whose ports pair q <-> degree+1-q, whose out-of-range ports are
+    stays and whose distance never moves; the program and its raw ports."""
+    prog = rendezvous_program(5, record_events=True)
+    ports, obs = [], Observation(degree, 0, 3)
+    for _ in range(rounds):
+        port = prog.step(obs)
+        ports.append(port)
+        obs = Observation(degree, degree + 1 - port if 1 <= port <= degree else 0, 3)
+    return prog, ports
+
+
 class TestTestPorts:
     def test_idle_variant_fails_after_two_delta_rounds(self):
-        prog = probe_ports_program(4, 0)
-        res = run(PATH3, 0, 2, prog, idle_program(), SimConfig(round_cap=20))
-        assert res.outcome == CAP
-        assert prog.result is False
-        assert prog.rounds_seen == 8
-        assert all(r.pos1 == 0 for r in res.trace)  # never moved
+        # at the hub of a five-leaf star the first degree-bounding call runs
+        # idle sweeps of sizes 1, 2 and 4 before its live sweep of size 8,
+        # which meets the idle peer on leaf 1 at once
+        star6 = build(6, [(0, p, p, 1) for p in range(1, 6)])
+        prog = rendezvous_program(3, record_events=True)
+        res = run(star6, 0, 1, prog, Constant(), SimConfig(round_cap=40))
+        assert res.outcome == MET and res.met_round == 14
+        (enter, exit), = [c for c in _calls(prog.events, "probe_ports") if c[0].info == (4, 0)]
+        assert exit.info == (False,) and exit.round - enter.round == 8
+        assert all(r.port1 == 0 and r.pos1 == 0 for r in res.trace[enter.round:exit.round])
 
     def test_single_edge_sweep_meets_immediately(self):
-        prog = probe_ports_program(1, 1)
-        res = run(EDGE, 0, 1, prog, idle_program(), SimConfig(round_cap=10))
+        # a degree-1 node rounds up to one live sweep of size 1
+        prog = rendezvous_program(4, record_events=True)
+        res = run(EDGE, 0, 1, prog, Constant(), SimConfig(round_cap=10))
         assert res.outcome == MET and res.met_round == 0 and res.rounds == 1
+        assert prog.events[-1] == ProcEvent(0, "probe_ports", "enter", (1, 1))
 
     def test_degree_two_port_sequence_and_stay_rounds(self):
-        # two co-running sweeps on the uniform ring mirror each other, so the
-        # distance never drops: forward tries are 1,2,3,4 with go-backs, and
-        # 3 and 4 exceed the degree so those rounds are stays
+        # equal labels on the uniform ring mirror each other, so the distance
+        # never drops: an idle sweep of size 1, then a live sweep of size 2
+        # whose forward tries 1, 2 are each retraced through the entry port
         ring = generate_ring(8)
-        prog = probe_ports_program(4, 1)
-        twin = probe_ports_program(4, 1)
-        res = run(ring, 0, 4, prog, twin, SimConfig(round_cap=12))
+        prog, twin = (rendezvous_program(5, record_events=True) for _ in range(2))
+        res = run(ring, 0, 4, prog, twin, SimConfig(round_cap=7))
         trace = res.trace
-        assert [r.port1 for r in trace[:8]] == [1, 2, 2, 1, 3, 0, 4, 0]
-        assert all(trace[i].pos1 == 0 for i in (0, 2, 4, 5, 6, 7))
-        assert prog.result is False and prog.rounds_seen == 8
-        assert twin.result is False and twin.rounds_seen == 8
+        assert [r.port1 for r in trace[:6]] == [0, 0, 1, 2, 2, 1]
+        assert all(trace[i].pos1 == 0 for i in (0, 1, 2, 4)) and trace[5].next1 == 0
+        for p in (prog, twin):
+            calls = _calls(p.events, "probe_ports")[:2]
+            assert [(enter.round, enter.info, exit.round, exit.info) for enter, exit in calls] \
+                == [(0, (1, 0), 2, (False,)), (2, (2, 1), 6, (False,))]
+
+    def test_out_of_range_tries_are_stays(self):
+        # degree 3 rounds up to a live sweep of size 4 after 6 idle rounds:
+        # tries 1..3 come back through their paired ports, the try of port 4
+        # is a stay, so its go-back is a stay too
+        _, ports = _frozen_run(3, 14)
+        assert ports == [0] * 6 + [1, 3, 2, 2, 3, 1, 4, 0]
 
     def test_success_can_come_from_peer_movement(self):
-        # a b=0 sweep never moves, yet reports success when the other agent
-        # closes in during one of its watched rounds
+        # a live=0 sweep never moves, yet reports success when the other
+        # agent closes in during one of its watched rounds
         ring = generate_ring(8)
-        watcher = probe_ports_program(4, 0)
-        run(ring, 0, 4, watcher, constant_program(1), SimConfig(round_cap=12))
-        assert watcher.result is True
+        watcher = rendezvous_program(5, record_events=True)
+        res = run(ring, 0, 4, watcher, Constant(1), SimConfig(round_cap=2))
+        enter, exit = _calls(watcher.events, "probe_ports")[0]
+        assert (enter.info, exit.round, exit.info) == ((1, 0), 1, (True,))
+        assert res.trace[0].port1 == 0
+
+    @given(st.integers(4, 20), st.integers(2, 6), st.integers(0, 200),
+           st.integers(0, 63), st.integers(0, 63), st.data())
+    def test_every_sweep_of_the_strategy_keeps_the_lemma(self, n, cap, seed, l1, l2, data):
+        # a failed sweep lasts exactly 2*delta rounds and ends where it began;
+        # a successful one ends an odd number of rounds in, below 2*delta; an
+        # idle sweep chooses port 0 in every round it spans
+        g = generate_random_connected(n, cap, seed)
+        s1 = data.draw(st.integers(0, n - 1))
+        s2 = data.draw(st.integers(0, n - 1).filter(lambda x: x != s1))
+        res, p1, p2 = _paired_events(g, s1, s2, l1, l2)
+        col = dict(zip(TraceRow._fields, zip(*res.trace)))
+        for prog, agent in ((p1, "1"), (p2, "2")):
+            pos, port, nxt = (col[field + agent] for field in ("pos", "port", "next"))
+            for enter, exit in _calls(prog.events, "probe_ports"):
+                delta, live = enter.info
+                end = exit.round if exit else res.rounds
+                if live == 0:
+                    assert set(port[enter.round:end]) <= {0}
+                if exit is None:
+                    continue
+                took = end - enter.round
+                if exit.info == (True,):
+                    assert took % 2 == 1 and took < 2 * delta
+                else:
+                    assert took == 2 * delta
+                    assert nxt[end - 1] == pos[enter.round]
+
+
+def _assert_every_call_fails_in(degree, rounds):
+    """In the frozen world every degree-bounding call fails: the first
+    loop's (b=1), one per extended bit of label 5, then the final loop's
+    (b=1). Each lasts 2**(ceil_log2(degree)+2) - 2 rounds."""
+    assert rounds == 2 ** (ceil_log2(degree) + 2) - 2
+    prog, _ = _frozen_run(degree, 10 * rounds)
+    calls = [c for c in _calls(prog.events, "bound_degrees") if c[1]]
+    assert len(calls) == 9
+    assert {enter.info for enter, _ in calls} == {(0, degree), (1, degree)}
+    assert {(exit.round - enter.round, exit.info) for enter, exit in calls} == {(rounds, (False,))}
 
 
 class TestBoundDegrees:
     def test_full_failure_duration_degree_four(self):
         # 2 + 4 + 8 rounds of idle-or-sweep phases
-        star5 = build(5, [(0, 1, 1, 1), (0, 2, 2, 1), (0, 3, 3, 1), (0, 4, 4, 1)])
-        # peer idles on a leaf; every sweep move from the center would meet it
-        # at port 1..4 -- avoid by co-running two idle-biased agents instead:
-        prog = bound_degrees_program(0)
-        res = run(star5, 0, 1, prog, idle_program(), SimConfig(round_cap=20))
-        assert prog.result is False
-        assert prog.rounds_seen == 14
-        assert 2 ** (ceil_log2(4) + 2) - 2 == 14
+        _assert_every_call_fails_in(4, 14)
+
+    def test_full_failure_duration_degree_two(self):
+        _assert_every_call_fails_in(2, 6)
 
     def test_degree_one_edge_case(self):
-        prog = bound_degrees_program(0)
-        res = run(EDGE, 0, 1, prog, idle_program(), SimConfig(round_cap=6))
-        assert prog.result is False
-        assert prog.rounds_seen == 2
+        _assert_every_call_fails_in(1, 2)
 
     def test_full_failure_duration_non_power_degree(self):
-        # degree 5 rounds up to sweep size 8: 2+4+8+16 = 30 rounds
-        star6 = build(6, [(0, p, p, 1) for p in range(1, 6)])
-        prog = bound_degrees_program(0)
-        run(star6, 0, 1, prog, idle_program(), SimConfig(round_cap=40))
-        assert prog.result is False
-        assert prog.rounds_seen == 30 == 2 ** (ceil_log2(5) + 2) - 2
+        # degrees 5 and 6 round up to sweep size 8: 2+4+8+16 = 30 rounds
+        _assert_every_call_fails_in(5, 30)
+        _assert_every_call_fails_in(6, 30)
 
     def test_similar_nodes_opposite_bits_both_succeed(self):
-        # both endpoints of a 3-path have degree 1; mover sweeps while peer
-        # holds still, so both observe the same shrinking round
-        mover = bound_degrees_program(1)
-        holder = bound_degrees_program(0)
-        res = run(PATH3, 0, 2, mover, holder, SimConfig(round_cap=10))
-        assert mover.result is True
-        assert holder.result is True
-        ex1 = [e for e in mover.events if e.proc == "bound_degrees" and e.kind == "exit"]
-        ex2 = [e for e in holder.events if e.proc == "bound_degrees" and e.kind == "exit"]
-        assert ex1[0].round == ex2[0].round
+        # at the distinguishing bit the 1-bit agent sweeps while the 0-bit
+        # agent holds still at a node of the same degree, so both calls
+        # observe the same shrinking round
+        for l1, l2 in ((2, 3), (2, 5), (0, 1)):
+            _, p1, p2 = _paired_events(generate_ring(8), 0, 4, l1, l2)
+            calls = []
+            for p in (p1, p2):
+                i = next(i for i, e in enumerate(p.events)
+                         if e.proc == "compare_labels" and e.kind == "exit")
+                calls.append(_calls(p.events[:i], "bound_degrees")[-1])
+            (enter1, exit1), (enter2, exit2) = calls
+            assert exit1.info == exit2.info == (True,)
+            assert (enter1.round, exit1.round) == (enter2.round, exit2.round)
+            assert {enter1.info[0], enter2.info[0]} == {0, 1}
+            assert enter1.info[1] == enter2.info[1] == 2
 
 
 class TestCompareLabels:
@@ -163,31 +231,20 @@ class TestCompareLabels:
         (2, 5, 4),  # shorter label's terminating bit distinguishes
     ])
     def test_exit_round_and_opposite_bits(self, l1, l2, expect_index):
-        g = generate_ring(6)
-        p1 = compare_labels_program(l1)
-        p2 = compare_labels_program(l2)
-        res = run(g, 0, 3, p1, p2, SimConfig(round_cap=200))
-        assert {p1.result, p2.result} == {0, 1}
-        x1 = [e for e in p1.events if e.proc == "compare_labels" and e.kind == "exit"][0]
-        x2 = [e for e in p2.events if e.proc == "compare_labels" and e.kind == "exit"][0]
+        _, p1, p2 = _paired_events(generate_ring(6), 0, 3, l1, l2, cap=200)
+        x1, x2 = ([e for e in p.events if e.proc == "compare_labels" and e.kind == "exit"][0]
+                  for p in (p1, p2))
+        assert {x1.info[0], x2.info[0]} == {0, 1}
         assert x1.round == x2.round
         assert x1.info[1] == x2.info[1] == expect_index
         assert _first_differing_bit(l1, l2) == expect_index
 
     def test_fall_through_in_frozen_world(self):
-        # drive the program through a paired-port world whose distance never
-        # moves: every inner call fails and the loop falls through to 1
-        from rvsim.agents import Observation
-        prog = compare_labels_program(5)
-        obs = Observation(6, 0, 3)
-        steps = 0
-        while prog.result is None:
-            port = prog.step(obs)
-            arrival = 7 - port if 1 <= port <= 6 else 0
-            obs = Observation(6, arrival, 3)
-            steps += 1
-            assert steps < 1000
-        assert prog.result == 1  # total-function fall-through
+        # every inner call fails, so the walk runs past the extended label's
+        # end and falls through to 1 (a total function)
+        prog, _ = _frozen_run(6, 8 * 30)
+        exits = [e.info for e in prog.events if e.proc == "compare_labels" and e.kind == "exit"]
+        assert exits == [(1, None)]
 
 
 class TestRendezvousProgram:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import hashlib
 import json
@@ -315,6 +316,35 @@ class TestSweep:
         assert code == 2
         assert captured.out == "" and message in captured.err
         assert not out.exists()
+
+    def test_jobs_never_exceed_the_work(self, tmp_path, capsys, monkeypatch):
+        # the process pool forks all its workers up front, so --jobs 64 on two
+        # cells asks for two; this pool maps in-process and starts none
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        outs = []
+        for jobs in ("64", "1"):
+            path = tmp_path / f"jobs{jobs}.csv"
+            code = main(["sweep", "--family", "ring", "--sizes", "6", "--rotations", "2",
+                         "--label-pairs", "2:5", "--out", str(path), "--jobs", jobs])
+            assert code == 0
+            outs.append(read(path))
+        assert asked == [2]
+        assert outs[0] == outs[1] and outs[0].count(b"\n") == 3
 
     def test_parallel_equals_serial(self, tmp_path, capsys):
         outs = []

@@ -20,12 +20,10 @@ from rvsim import (
     TraceRow,
     build,
     butterfly_index,
-    constant_program,
     default_round_cap,
     delta,
     generate_random_connected,
     generate_ring,
-    idle_program,
     number_butterfly,
     read_trace,
     rendezvous_program,
@@ -36,18 +34,19 @@ from rvsim import (
 )
 from rvsim.acceptance import farthest_node, upper_bound_corpus
 from rvsim.graphs import materialize
+from stubs import Constant
 
 EDGE = build(2, [(0, 1, 1, 1)])
 
 
 class TestRunBasics:
     def test_colocated_start(self):
-        res = run(EDGE, 1, 1, idle_program(), idle_program())
+        res = run(EDGE, 1, 1, Constant(), Constant())
         assert res.outcome == MET and res.met_round == 0
         assert res.rounds == 0 and res.trace == []
 
     def test_crossing_is_not_meeting(self):
-        res = run(EDGE, 0, 1, constant_program(1), constant_program(1),
+        res = run(EDGE, 0, 1, Constant(1), Constant(1),
                   SimConfig(round_cap=50))
         assert res.outcome == CAP
         assert all(row.pos1 != row.pos2 for row in res.trace)
@@ -55,7 +54,7 @@ class TestRunBasics:
 
     def test_invalid_start(self):
         with pytest.raises(InvalidStartError):
-            run(EDGE, 0, 5, idle_program(), idle_program())
+            run(EDGE, 0, 5, Constant(), Constant())
 
     def test_single_edge_regression_through_engine(self):
         res = run(EDGE, 0, 1, rendezvous_program(0), rendezvous_program(1),
@@ -63,7 +62,7 @@ class TestRunBasics:
         assert (res.outcome, res.met_round, res.rounds) == (MET, 2, 3)
 
     def test_cap_always_respected(self):
-        res = run(generate_ring(8), 0, 4, idle_program(), idle_program(),
+        res = run(generate_ring(8), 0, 4, Constant(), Constant(),
                   SimConfig(round_cap=17))
         assert res.outcome == CAP and res.rounds == 17
         assert len(res.trace) == 17
@@ -77,7 +76,7 @@ class TestRunBasics:
 class TestDistanceBookkeeping:
     def test_single_mover_changes_distance_by_at_most_one(self):
         g = generate_ring(10)
-        res = run(g, 0, 5, constant_program(1), idle_program(),
+        res = run(g, 0, 5, Constant(1), Constant(),
                   SimConfig(round_cap=30))
         dists = [row.dist for row in res.trace]
         assert all(abs(b - a) <= 1 for a, b in zip(dists, dists[1:]))
@@ -583,9 +582,9 @@ class TestMatchesReferenceEngine:
     @pytest.mark.parametrize("mode", ["exact", "delta"])
     def test_stub_programs(self, mode):
         g = generate_random_connected(12, 4, seed=5)
-        stubs = {"idle": idle_program, "strategy": _strategy(6)}
+        stubs = {"idle": Constant, "strategy": _strategy(6)}
         for p in (0, -1, 1, 2, g.max_degree + 5):
-            stubs[f"constant({p})"] = lambda p=p: constant_program(p)
+            stubs[f"constant({p})"] = lambda p=p: Constant(p)
         for name1, make1 in stubs.items():
             for name2, make2 in stubs.items():
                 for cap in (1, 2, 7, 300):
