@@ -1,19 +1,21 @@
 """The release gate: executable checks for every headline claim.
 
 Each ``check_*`` function runs a self-contained experiment at its pinned
-tolerance and returns a CriterionResult; ``run_all`` chains them. The pytest
-suite and the ``selfcheck`` CLI subcommand both call into this module so the
-gate is identical everywhere.
+tolerance and returns a CriterionResult; ``criteria`` lists them in gate
+order. The pytest suite and the ``selfcheck`` CLI subcommand both call into
+this module so the gate is identical everywhere.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 import random
 import subprocess
 import sys
 import tempfile
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .agents import (default_round_cap, degree_class, rendezvous_program,
@@ -430,17 +432,6 @@ def check_paired_numbering() -> CriterionResult:
                            if bad == 0 else f"{bad} violations")
 
 
-def check_lemma_properties() -> list[CriterionResult]:
-    return [
-        check_lockstep(),
-        check_similarity_on_failure(),
-        check_distinct_exits(),
-        check_delta_sufficiency(),
-        check_oracle_equivalence(),
-        check_paired_numbering(),
-    ]
-
-
 # ----------------------------------------------------------------------------
 # criterion 6: CLI determinism
 # ----------------------------------------------------------------------------
@@ -499,13 +490,18 @@ def check_cli_determinism() -> CriterionResult:
                            if ok else "outputs differ between repeats")
 
 
-def run_all(fast: bool = False) -> list[CriterionResult]:
-    results = [
-        check_upper_bound(),
-        check_lower_bound(fast=fast),
-        check_caterpillar_cost(),
-        check_symmetry_non_meeting(),
+def criteria(fast: bool = False) -> list[Callable[[], CriterionResult]]:
+    """The gate's checks in order; calling each runs it and gives its result."""
+    return [
+        check_upper_bound,
+        functools.partial(check_lower_bound, fast=fast),
+        check_caterpillar_cost,
+        check_symmetry_non_meeting,
+        check_lockstep,
+        check_similarity_on_failure,
+        check_distinct_exits,
+        check_delta_sufficiency,
+        check_oracle_equivalence,
+        check_paired_numbering,
+        check_cli_determinism,
     ]
-    results.extend(check_lemma_properties())
-    results.append(check_cli_determinism())
-    return results

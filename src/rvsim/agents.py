@@ -49,6 +49,9 @@ class Observation(NamedTuple):
 # An action is just the chosen port number; 0 or out-of-range means stay.
 Action = int
 
+# bound once: an Enum member read through its class is a slow attribute lookup
+_DECREASED = DistanceDelta.DECREASED
+
 
 def label_bit_length(label: int) -> int:
     """Bits of a label, counting label 0 as the one-bit string '0'."""
@@ -96,9 +99,8 @@ class ProcEvent:
 
 # What the next observation answers (AgentProgram._stage).
 _START = 0  # the first observation starts the outermost sub-machine
-_TRY = 1    # the sweep just tried port i
-_BACK = 2   # the sweep just retraced a try that did not get closer
-_READ = 3   # paused on a label read; only unlabelled programs, see supply_bit
+_SWEEP = 1  # a port sweep; its position in rounds says what the observation answers
+_READ = 2   # paused on a label read; only unlabelled programs, see supply_bit
 
 # What happens when the current degree-bounding call returns (AgentProgram._phase).
 _FIRST = 0    # bound again while it succeeds
@@ -111,10 +113,21 @@ class AgentProgram:
 
     ``step`` takes one Observation and returns the port to take. All control
     flow between rounds happens inside one step; only moves consume rounds.
-    The state is the strategy's phase, the current sweep (size ``delta``,
-    liveness ``live``, port index ``i``, the observation before its last
-    try), the degree-bounding call around it (flag ``b``, sweep ``level``,
-    ``top`` level) and the extended-label position ``j`` read last.
+    The state is the strategy's phase, the current sweep (liveness ``live``,
+    the round ``t0`` of its first try, the round ``end`` = t0 + 2*delta that
+    ends it, the observation before its last try, and ``until``), the
+    degree-bounding call around it (flag ``b``, sweep ``level``, ``top``
+    level) and the extended-label position ``j`` read last. The sweep's
+    position is the number of rounds since ``t0``: an odd position answers a
+    try, an even one makes the next try, or ends the sweep at ``end``.
+
+    Most rounds of the strategy are quiet: an idle sweep stays put, and while
+    the observation does not change, each of its rounds answers the same way.
+    So ``until`` is the round that ends an idle sweep whose last try read no
+    decrease (else 0), and a step given the very observation object of that
+    try before then stays put at once. The same object carries the same
+    reading, which is neither below itself nor a decrease, so the answer is
+    the one the full step would give.
 
     The label is read in one transition only: starting bit ``j`` of the label
     comparison asks for extended position ``j`` and gets 0, 1 or None (past
@@ -127,8 +140,8 @@ class AgentProgram:
     Build programs with ``rendezvous_program``.
     """
 
-    __slots__ = ("_stage", "_phase", "_label", "_round", "_events",
-                 "_delta", "_live", "_i", "_before", "_b", "_level", "_top", "_j")
+    __slots__ = ("_stage", "_phase", "_label", "_round", "_events", "_live", "_t0",
+                 "_end", "_until", "_before", "_b", "_level", "_top", "_j")
 
     def __init__(self, label: int | None = None, record_events: bool = False):
         if label is not None and label < 0:
@@ -138,7 +151,8 @@ class AgentProgram:
         self._label = label
         self._round = 0
         self._events: list[ProcEvent] | None = [] if record_events else None
-        self._delta = self._live = self._i = self._level = self._top = self._j = 0
+        self._live = self._t0 = self._end = self._until = 0
+        self._level = self._top = self._j = 0
         self._b = 1  # the first loop bounds degrees with a live top sweep
         # before the sweep's last try; while paused, the observation to resume from
         self._before: Observation | None = None
@@ -164,33 +178,37 @@ class AgentProgram:
         return twin
 
     def step(self, obs: Observation) -> Action:
-        stage = self._stage
-        if stage == _BACK:
-            i = self._i + 1
-            if i <= self._delta:
-                self._i = i
+        rnd = self._round
+        if rnd < self._until and obs is self._before:  # a quiet round of an idle sweep
+            self._round = rnd + 1
+            return 0
+        if self._stage == _SWEEP:
+            p = rnd - self._t0
+            if p & 1:
+                # One round separates the two readings, so under delta readings
+                # the strict comparison collapses to "the last round decreased".
+                reading = obs.distance_reading
+                if (reading is _DECREASED if isinstance(reading, DistanceDelta)
+                        else reading < self._before.distance_reading):
+                    port = self._probe_done(True, obs)
+                else:
+                    port = obs.arrival_port * self._live  # retrace the same edge
+            elif rnd < self._end:
                 self._before = obs
-                self._stage = _TRY
-                port = i * self._live
+                if self._live:
+                    port = (p >> 1) + 1
+                else:
+                    port = 0
+                    self._until = 0 if obs.distance_reading is _DECREASED else self._end
             else:
                 port = self._probe_done(False, obs)
-        elif stage == _TRY:
-            # One round separates the two readings, so under delta readings
-            # the strict comparison collapses to "the last round decreased".
-            reading = obs.distance_reading
-            if (reading is DistanceDelta.DECREASED if isinstance(reading, DistanceDelta)
-                    else reading < self._before.distance_reading):
-                port = self._probe_done(True, obs)
-            else:
-                self._stage = _BACK
-                port = obs.arrival_port * self._live  # retrace the same edge
-        elif stage == _START:
+        elif self._stage == _START:
             port = self._bound(self._b, obs)
         else:
             raise RuntimeError(f"label bit {self._j} was never supplied")
         if port is None:  # paused on a label read: no move this step
             return 0
-        self._round += 1
+        self._round = rnd + 1
         return port
 
     def supply_bit(self, bit: int | None) -> Action:
@@ -207,6 +225,8 @@ class AgentProgram:
     # -- transitions; each returns the port to emit, or None ----------------
 
     def _log(self, proc: str, kind: str, *info) -> None:
+        # sweeps and degree-bounding calls start and end every few rounds, so
+        # their sites test _events first: a call that logs nothing still costs
         if self._events is not None:
             self._events.append(ProcEvent(self._round, proc, kind, info))
 
@@ -216,18 +236,22 @@ class AgentProgram:
         distance is strictly below its pre-move distance, staying at the
         post-move node; else failure after exactly 2*delta rounds. With
         live=0 every move is a stay, so the sweep only watches for the peer."""
-        self._log("probe_ports", "enter", delta, live)
-        if delta < 1:
-            return self._probe_done(False, obs)
-        self._delta, self._live, self._i, self._before = delta, live, 1, obs
-        self._stage = _TRY
+        if self._events is not None:
+            self._log("probe_ports", "enter", delta, live)
+        rnd = self._round
+        end = rnd + 2 * delta
+        self._live, self._t0, self._end, self._before = live, rnd, end, obs
+        self._until = 0 if live or obs.distance_reading is _DECREASED else end
+        self._stage = _SWEEP
         return live
 
     def _probe_done(self, s: bool, obs: Observation) -> Action | None:
-        self._log("probe_ports", "exit", s)
+        if self._events is not None:
+            self._log("probe_ports", "exit", s)
         level = self._level
         if s or level == self._top:
-            self._log("bound_degrees", "exit", s)
+            if self._events is not None:
+                self._log("bound_degrees", "exit", s)
             return self._bound_done(s, obs)
         level += 1
         self._level = level
@@ -245,7 +269,8 @@ class AgentProgram:
         rounds.
         """
         top = ceil_log2(obs.degree)
-        self._log("bound_degrees", "enter", b, obs.degree)
+        if self._events is not None:
+            self._log("bound_degrees", "enter", b, obs.degree)
         self._b, self._top, self._level = b, top, 0
         return self._probe(1, b if top == 0 else 0, obs)
 
@@ -312,6 +337,10 @@ def rendezvous_round_bound(max_degree: int, start_distance: int,
     One degree-bounding call lasts at most 8*max_degree rounds; the first
     loop pays for at most start_distance+1 calls, the label comparison for at
     most 2*min_bits+1, and the mover's final approach for start_distance more.
+    Those calls sum to 8*max_degree*(2D+2k+2) with D = start_distance and
+    k = min_bits, but this returns the stated, looser 8*max_degree*(2D+4k+3),
+    the bound the gate and the sweep's analytic_cap column check. Whether to
+    tighten it is left to the roadmap item on where the rounds go.
     """
     k_min = min(label_bit_length(label1), label_bit_length(label2))
     return 8 * max_degree * (2 * start_distance + 4 * k_min + 3)

@@ -16,6 +16,7 @@ import itertools
 import math
 import os
 import sys
+import time
 from contextlib import nullcontext
 
 from . import acceptance
@@ -289,10 +290,15 @@ def cmd_trace_check(args) -> int:
 
 
 def cmd_selfcheck(args) -> int:
-    results = acceptance.run_all(fast=args.fast)
-    for res in results:
-        print(res.line())
-    return 0 if all(r.passed for r in results) else 1
+    """Print each criterion's line as it finishes, and its time to stderr."""
+    passed = True
+    for check in acceptance.criteria(fast=args.fast):
+        start = time.perf_counter()
+        res = check()
+        print(f"time {res.criterion} {time.perf_counter() - start:.3f} s", file=sys.stderr)
+        print(res.line(), flush=True)
+        passed = passed and res.passed
+    return 0 if passed else 1
 
 
 # ----------------------------------------------------------------------------

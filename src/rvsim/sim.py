@@ -199,14 +199,18 @@ def run(g: PortGraph, start1: int, start2: int,
     obs1 = Observation(len(ports1), 0, reading)
     obs2 = Observation(len(ports2), 0, reading)
     moved = False  # the last round moved an agent, so obs1/obs2 carry its arrivals
-    # the ports of the last run if it moved no agent: a round that moves no
-    # agent and chooses them again repeats the run's last nine fields (graphs
-    # have no self-loops, so a round that moves an agent never does)
+    # the ports of the last round if it moved no agent: a round that chooses
+    # them again moves no agent either and repeats that round's last nine
+    # fields, so it extends the trace's last run and leaves the observations
+    # as they are (graphs have no self-loops, so a round that moves an agent
+    # never repeats its row)
     q1 = q2 = None
 
     for r in range(cfg.round_cap):
         port1 = step1(obs1)
         port2 = step2(obs2)
+        if port1 == q1 and port2 == q2:
+            continue
         next1, a1 = ports1[port1 - 1] if 1 <= port1 <= len(ports1) else (pos1, 0)
         next2, a2 = ports2[port2 - 1] if 1 <= port2 <= len(ports2) else (pos2, 0)
         if a1 or a2:  # an entry port is >= 1, so some agent moved
@@ -224,9 +228,9 @@ def run(g: PortGraph, start1: int, start2: int,
             obs2 = Observation(len(ports2), a2, reading)
             d, moved = nd, True
         else:
-            if keep_rows and (port1 != q1 or port2 != q2):
+            if keep_rows:
                 heads.append(new(TraceRow, (r, pos1, pos2, d, port1, port2, 0, 0, pos1, pos2)))
-                q1, q2 = port1, port2
+            q1, q2 = port1, port2
             if moved:  # the first round with no move: arrivals read 0, the distance holds
                 reading = d if exact else DistanceDelta.SAME
                 obs1 = Observation(len(ports1), 0, reading)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from rvsim import (
     CAP,
     MET,
+    DistanceDelta,
     ProcEvent,
     SimConfig,
     TraceRow,
@@ -343,6 +344,57 @@ class TestForkAndLabelReads:
         assert got == want
         assert blank.events == ref.events
         assert reads == list(range(1, len(reads) + 1)) and reads
+
+
+_DELTAS = (DistanceDelta.SAME, DistanceDelta.SAME, DistanceDelta.DECREASED,
+           DistanceDelta.INCREASED)
+
+
+def _repeating_stream(data, delta_readings):
+    """Observations from bytes: a byte below 128 repeats the previous object
+    (and asks for a fork when its low nibble is 1); any other byte makes a new
+    one whose degree, arrival port and reading change come from its bits."""
+    out, d = [Observation(2, 0, DistanceDelta.SAME if delta_readings else 7)], 7
+    for b in data:
+        if b < 128:
+            out.append(out[-1])
+            continue
+        degree = 1 + (b & 3)
+        change = (b >> 4) & 3
+        if delta_readings:
+            reading = _DELTAS[change]
+        else:
+            d += (0, 0, -1, 1)[change]
+            reading = d
+        out.append(Observation(degree, min((b >> 2) & 3, degree), reading))
+    return out
+
+
+class TestRepeatedObservations:
+    @given(st.binary(max_size=600), st.booleans(), st.booleans(), st.integers(0, 63))
+    def test_an_object_repeated_never_changes_an_answer(self, data, delta_readings,
+                                                        unlabelled, label):
+        # a repeated object may take the quiet-round shortcut; its copies never
+        # can, since each is a new object: both must see the same answers,
+        # across forks taken in quiet stretches and paused label reads
+        stream = _repeating_stream(data, delta_readings)
+        fast = rendezvous_program(None if unlabelled else label, record_events=True)
+        slow = rendezvous_program(label, record_events=True)
+        forks = [False] + [b < 128 and b & 15 == 1 for b in data]
+        for obs, fork in zip(stream, forks):
+            if fork:
+                fast = fast.fork()
+            port = fast.step(obs)
+            if fast.pending_bit:
+                assert port == 0
+                # a sweep that ends in a label read has run to its end, so the
+                # same object again asks for the bit and never stays put quietly
+                with pytest.raises(RuntimeError, match="never supplied"):
+                    fast.step(obs)
+                port = fast.supply_bit(extended_bit(label, fast.pending_bit))
+            assert port == slow.step(Observation(*obs))
+        assert fast.rounds_seen == slow.rounds_seen == len(stream)
+        assert fast.events == slow.events
 
 
 def _paired_events(g, s1, s2, l1, l2, cap=5000):

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rvsim import AgentProgram, build, generate_ring, read_trace, save_graph
+from rvsim import AgentProgram, acceptance, build, generate_ring, read_trace, save_graph
 from rvsim.cli import main
 
 
@@ -497,6 +497,32 @@ class TestLowerbound:
                                            space, "--distance", "3"], capsys)
         assert code == 2 and stdout == ""
         assert f"{space} has more than" in stderr and "Traceback" not in stderr
+
+
+class TestSelfcheck:
+    def test_each_criterion_prints_its_line_and_times_it(self, capsys, monkeypatch):
+        # every check is a stub, so no real criterion runs; the third one fails
+        names = [getattr(check, "func", check).__name__ for check in acceptance.criteria()]
+        assert len(names) == 11
+        calls = []
+
+        def stub(name):
+            def check(**kwargs):
+                calls.append((name, kwargs))
+                return acceptance.CriterionResult(name, name != names[2], 1, "stubbed")
+            return check
+
+        for name in names:
+            monkeypatch.setattr(acceptance, name, stub(name))
+        assert main(["selfcheck", "--fast"]) == 1
+        out, err = capsys.readouterr()
+        assert [name for name, _ in calls] == names
+        assert calls[1] == ("check_lower_bound", {"fast": True})
+        assert out.splitlines() == [
+            f"{'FAIL' if name == names[2] else 'PASS'} {name}: stubbed (1 cases)"
+            for name in names]
+        assert [re.fullmatch(r"time (\S+) \d+\.\d{3} s", line).group(1)
+                for line in err.splitlines()] == names
 
 
 def _not_int(text):

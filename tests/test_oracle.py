@@ -222,3 +222,30 @@ def test_meeting_round_does_not_depend_on_n():
         assert res.met
         rounds.add(res.rounds)
     assert rounds == {39}
+
+
+def _with_tail(core, n):
+    """``core`` with a path of ``n`` new nodes hung off its first node of
+    degree below 4, on a new port there."""
+    hub = next(v for v in range(core.num_nodes) if core.degree(v) < 4)
+    m = core.num_nodes
+    edges = [*core.edges(), (hub, core.degree(hub) + 1, m, 1)]
+    edges += [(v, 2, v + 1, 1) for v in range(m, m + n - 1)]
+    return build(m + n, edges)
+
+
+@pytest.mark.parametrize("mode", ["exact", "delta"])
+def test_meeting_does_not_depend_on_n_off_a_regular_graph(mode):
+    # the same claim where degrees differ: a path as long as you like hangs
+    # off the random core, and the meeting near the starts never sees it
+    core = generate_random_connected(60, 4, 7)
+    far = bfs_distances(core, 0).index(5)
+    outcomes = set()
+    for n in (1, 10 ** 2, 10 ** 3, 10 ** 4):
+        res = run(_with_tail(core, n), 0, far, rendezvous_program(3),
+                  rendezvous_program(2 ** 16 - 1), SimConfig(oracle_mode=mode))
+        assert res.met
+        outcomes.add((res.outcome, res.met_round, res.final1, res.final2,
+                      tuple(res.trace.runs())))
+    (meeting,) = outcomes
+    assert meeting[1] == 89 and sum(count for _, count in meeting[4]) == 90
