@@ -26,14 +26,20 @@ class DistanceDelta(Enum):
     INCREASED = "increased"
 
 
+# bound once: an Enum member read through its class is a slow attribute lookup
+_DECREASED = DistanceDelta.DECREASED
+_SAME = DistanceDelta.SAME
+_INCREASED = DistanceDelta.INCREASED
+
+
 def delta(prev: int, curr: int) -> DistanceDelta:
     if prev < 0 or curr < 0:
         raise ValueError("distances are non-negative")
     if curr < prev:
-        return DistanceDelta.DECREASED
+        return _DECREASED
     if curr > prev:
-        return DistanceDelta.INCREASED
-    return DistanceDelta.SAME
+        return _INCREASED
+    return _SAME
 
 
 class DistanceOracle:

@@ -30,6 +30,8 @@ CAP = "cap"
 
 _ORACLE_MODES = ("exact", "delta")
 _TRACE_DETAILS = ("full", "meeting-only")
+# bound once: an Enum member read through its class is a slow attribute lookup
+_SAME = DistanceDelta.SAME
 
 
 class InvalidStartError(ValueError):
@@ -195,7 +197,7 @@ def run(g: PortGraph, start1: int, start2: int,
     pos1, pos2 = start1, start2
     ports1, ports2 = adj[pos1], adj[pos2]
     d = min_d = distance(pos1, pos2)
-    reading = d if exact else DistanceDelta.SAME
+    reading = d if exact else _SAME
     obs1 = Observation(len(ports1), 0, reading)
     obs2 = Observation(len(ports2), 0, reading)
     moved = False  # the last round moved an agent, so obs1/obs2 carry its arrivals
@@ -232,7 +234,7 @@ def run(g: PortGraph, start1: int, start2: int,
                 heads.append(new(TraceRow, (r, pos1, pos2, d, port1, port2, 0, 0, pos1, pos2)))
             q1, q2 = port1, port2
             if moved:  # the first round with no move: arrivals read 0, the distance holds
-                reading = d if exact else DistanceDelta.SAME
+                reading = d if exact else _SAME
                 obs1 = Observation(len(ports1), 0, reading)
                 obs2 = Observation(len(ports2), 0, reading)
                 moved = False

@@ -6,12 +6,14 @@ explicit 2^20-label extraction walks the label trie, so labels that share a
 prefix share one simulation.
 """
 
+import shlex
 from collections import deque
 
 import pytest
 
 import rvsim
 from rvsim import acceptance
+from rvsim.cli import main
 
 
 def _report(result):
@@ -23,6 +25,110 @@ def _report(result):
 def test_criterion_1_upper_bound_conformance():
     result = _report(acceptance.check_upper_bound())
     assert result.cases >= 200
+
+
+class TestGraphEntry:
+    """run_cell keeps the graph of the last recipe it built."""
+
+    @pytest.fixture(autouse=True)
+    def no_entry(self, monkeypatch):
+        monkeypatch.setattr(acceptance, "_graph_entry", None)
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        builds = []
+
+        def counting(family, params):
+            builds.append((family, params))
+            return rvsim.graphs.materialize(family, params)
+
+        monkeypatch.setattr(acceptance, "materialize", counting)
+        return builds
+
+    @staticmethod
+    def _graphs_run(monkeypatch):
+        graphs = []
+
+        def recording(g, *args):
+            graphs.append(g)
+            return rvsim.run(g, *args)
+
+        monkeypatch.setattr(acceptance, "run", recording)
+        return graphs
+
+    def test_rows_do_not_depend_on_the_order_or_the_entry(self, monkeypatch):
+        cells = acceptance.upper_bound_corpus()
+        builds = self._count_builds(monkeypatch)
+        in_order = [acceptance.run_cell(c) for c in cells]
+        assert len(builds) == len({(c.family, c.params) for c in cells}) == 77
+        reverse = [acceptance.run_cell(c) for c in reversed(cells)][::-1]
+        cleared = []
+        for c in cells:
+            monkeypatch.setattr(acceptance, "_graph_entry", None)
+            cleared.append(acceptance.run_cell(c))
+        assert reverse == in_order and cleared == in_order
+        assert len(builds) == 77 + 77 + 242
+
+    def test_same_recipe_shares_the_graph_and_a_rerun_rebuilds(self, monkeypatch):
+        graphs = self._graphs_run(monkeypatch)
+        params = (("size", 8), ("numbering", "random"), ("seed", 3))
+        first = acceptance.Cell("ring", params, 0, 4, 2, 5)
+        second = acceptance.Cell("ring", params, 1, 5, 2, 5)
+        for cell in (first, second, first, second):
+            acceptance.run_cell(cell)
+        assert graphs[1] is graphs[0]
+        assert graphs[2] is not graphs[0] and graphs[3] is graphs[2]
+        assert graphs[2] == graphs[0]
+
+    def test_a_failed_build_leaves_no_entry(self, monkeypatch):
+        builds = self._count_builds(monkeypatch)
+        acceptance.run_cell(acceptance.Cell("ring", (("size", 6),), 0, 3, 2, 5))
+        bad = acceptance.Cell("ring", (("size", 2),), 0, 1, 2, 5)
+        rows = [acceptance.run_cell(bad) for _ in range(2)]
+        assert rows[0] == rows[1] and rows[0]["outcome"] == "error"
+        assert rows[0]["error"] == "InvalidParamsError: ring needs at least 3 nodes"
+        assert acceptance._graph_entry is None and len(builds) == 3
+
+
+def _cli_result(command, tmp_path, monkeypatch, capsys):
+    """Run ``rvsim … && rvsim …`` through cli.main in ``tmp_path``; the last
+    command's stdout fields."""
+    monkeypatch.chdir(tmp_path)
+    for part in command.split(" && "):
+        argv = shlex.split(part)
+        assert argv[0] == "rvsim"
+        main(argv[1:])
+    out = capsys.readouterr().out.splitlines()[-1]
+    return dict(field.split("=", 1) for field in out.split())
+
+
+def test_reproduce_command_repeats_the_cell(tmp_path, monkeypatch, capsys):
+    firsts = {}
+    for cell in acceptance.upper_bound_corpus():
+        firsts.setdefault(cell.family, cell)
+    assert len(firsts) == len(rvsim.graphs.FAMILIES)
+    for cell in firsts.values():
+        row = acceptance.run_cell(cell)
+        result = _cli_result(acceptance.reproduce_command(cell, row),
+                             tmp_path, monkeypatch, capsys)
+        assert (result["met_round"], result["rounds"]) == (str(row["met_round"]),
+                                                           str(row["rounds"]))
+        assert result["round_cap"] == str(row["round_cap"])
+
+
+def test_criterion_1_failure_prints_the_reproduce_command(monkeypatch):
+    cell = acceptance.Cell("random", (("size", 25), ("max_degree", 4), ("seed", 0)),
+                           0, -1, 2, 2 ** 10)
+    monkeypatch.setattr(acceptance, "upper_bound_corpus", lambda: [cell])
+    monkeypatch.setattr(acceptance, "rendezvous_round_bound", lambda *args: 1)
+    result = acceptance.check_upper_bound()
+    assert not result.passed
+    start2 = acceptance.farthest_node(rvsim.generate_random_connected(25, 4, 0), 0)
+    assert result.detail.startswith("1 violations, e.g. ")
+    assert result.detail.endswith(
+        "reproduce: rvsim generate --family random --size 25 --max-degree 4 --seed 0 "
+        "--out g.txt && rvsim run --graph g.txt --start1 0 "
+        f"--start2 {start2} --label1 2 --label2 1024 --oracle-mode exact")
 
 
 def test_criterion_2_lower_bound_reproduction():

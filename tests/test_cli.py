@@ -2,6 +2,7 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import os
 import re
 import sys
 
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rvsim import AgentProgram, acceptance, build, generate_ring, read_trace, save_graph
 from rvsim.cli import main
+from rvsim.graphs import materialize
 
 
 def read(path):
@@ -345,6 +347,51 @@ class TestSweep:
             outs.append(read(path))
         assert asked == [2]
         assert outs[0] == outs[1] and outs[0].count(b"\n") == 3
+
+    def test_repeat_rebuilds_the_graph(self, tmp_path, capsys, monkeypatch):
+        # consecutive cells on one recipe share its graph, but a cell that
+        # runs again gets a graph built after its earlier run
+        builds = []
+
+        def counting(family, params):
+            builds.append(family)
+            return materialize(family, params)
+
+        monkeypatch.setattr(acceptance, "_graph_entry", None)
+        monkeypatch.setattr(acceptance, "materialize", counting)
+        outs = []
+        for jobs in ("1", "2"):
+            path = tmp_path / f"repeat{jobs}.csv"
+            code = main(["sweep", "--family", "ring", "--sizes", "8", "--seeds", "3",
+                         "--label-pairs", "2:5", "--repeat", "2", "--out", str(path),
+                         "--jobs", jobs])
+            assert code == 0 and "unstable=0" in capsys.readouterr().out
+            outs.append(read(path))
+            if jobs == "1":
+                assert builds == ["ring", "ring"]
+        assert outs[0] == outs[1] and outs[0].count(b"\n") == 9
+
+    def test_pool_workers_build_their_own_graphs(self, tmp_path, capsys, monkeypatch):
+        # the parent ran a cell on this recipe; its forked workers inherit
+        # that graph, but must not share it between a cell's two runs
+        log = tmp_path / "builds.txt"
+
+        def counting(family, params):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return materialize(family, params)
+
+        monkeypatch.setattr(acceptance, "_graph_entry", None)
+        monkeypatch.setattr(acceptance, "materialize", counting)
+        params = (("size", 8), ("numbering", "random"), ("seed", 3))
+        acceptance.run_cell(acceptance.Cell("ring", params, 0, 4, 7, 9))
+        code = main(["sweep", "--family", "ring", "--sizes", "8", "--seeds", "3",
+                     "--label-pairs", "2:5", "--repeat", "2", "--out",
+                     str(tmp_path / "r.csv"), "--jobs", "2"])
+        assert code == 0 and "unstable=0" in capsys.readouterr().out
+        pids = log.read_text().split()
+        assert pids[0] == str(os.getpid())
+        assert len(pids) == 3 and str(os.getpid()) not in pids[1:]
 
     def test_parallel_equals_serial(self, tmp_path, capsys):
         outs = []
