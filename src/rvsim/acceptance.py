@@ -229,21 +229,24 @@ def check_upper_bound() -> CriterionResult:
 
 
 def check_lower_bound(fast: bool = False) -> CriterionResult:
-    # (degree, label_space, distance, sampling)
-    specs = [(16, 2 ** 64, 4, True)]
-    specs.append((8, 2 ** 14 if fast else 2 ** 20, 3, False))
+    # (degree, log2 of the label space, distance, sample size or None for explicit)
+    specs = [(16, 64, 4, 1024), (8, 14 if fast else 20, 3, None)]
     details = []
     ok = True
-    for degree, space, distance, sampled in specs:
+    for degree, bits, distance, sample_size in specs:
         inst = build_instance(rendezvous_program, degree=degree,
-                              label_space=space, distance=distance,
-                              sample_size=1024 if sampled else None)
+                              label_space=2 ** bits, distance=distance,
+                              sample_size=sample_size)
         verified = verify_frozen_distance(inst)
-        good = verified >= inst.guaranteed_horizon and verified >= inst.agreement_horizon
+        good = verified >= inst.agreement_horizon >= inst.guaranteed_horizon
         ok = ok and good
-        details.append(
-            f"degree={degree} L=2^{space.bit_length() - 1}: frozen {verified} rounds"
-            f" >= t*={inst.agreement_horizon} >= floor-bound {inst.guaranteed_horizon}")
+        detail = (f"degree={degree} L=2^{bits}: frozen {verified} rounds"
+                  f" >= t*={inst.agreement_horizon} >= floor-bound {inst.guaranteed_horizon}")
+        if not good:
+            detail += (f", reproduce: rvsim lowerbound --degree {degree} "
+                       f"--label-space 2^{bits} --distance {distance}"
+                       + (f" --sample-size {sample_size}" if sample_size else ""))
+        details.append(detail)
     return CriterionResult("2-lower-bound-reproduction", ok, len(specs),
                            "; ".join(details))
 

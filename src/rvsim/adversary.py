@@ -14,9 +14,8 @@ so every distance reading is useless.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .agents import (AgentProgram, Observation, ceil_log2, extended_bit,
                      rendezvous_program)
@@ -89,21 +88,20 @@ def extract_port_sequence(make_program: ProgramFactory, label: int, degree: int,
     return PortSequence(label, bytes(out))
 
 
-def extract_port_sequences(labels: Sequence[int], degree: int, frozen_distance: int,
-                           horizon: int) -> list[PortSequence]:
-    """``extract_port_sequence(rendezvous_program, label, ...)`` for every
-    label at once, in the order given, by walking the trie of label reads.
+def extract_port_sequences(labels: Iterable[int], degree: int, frozen_distance: int,
+                           horizon: int) -> dict[bytes, list[int]]:
+    """Map each distinct ``extract_port_sequence(rendezvous_program, label,
+    ...).ports`` to the labels that emit it, in no promised order.
 
-    One unlabelled rendezvous program is stepped through the frozen world.
-    Where it asks for extended bit ``j``, the labels still on its path are
-    split by that bit (0, 1 or past the end) and the program is forked once
-    per part, so every shared prefix is stepped once. Labels that end in the
-    same leaf share one ``ports`` bytes object.
+    One unlabelled rendezvous program walks the trie of label reads through
+    the frozen world. Where it asks for extended bit ``j``, the labels still
+    on its path are split by that bit (0, 1 or past the end) and the program
+    is forked once per part, so every shared prefix is stepped once.
     """
     start, record = _frozen_world(degree, frozen_distance, horizon)
-    sequences: list[PortSequence | None] = [None] * len(labels)
-    # (program, ports so far, indices of the labels on this path, next observation)
-    stack = [(rendezvous_program(None), bytearray(), range(len(labels)), start)]
+    groups: dict[bytes, list[int]] = {}
+    # (program, ports so far, labels on this path, next observation)
+    stack = [(rendezvous_program(None), bytearray(), labels, start)]
     while stack:
         prog, out, members, obs = stack.pop()
         while len(out) < horizon:
@@ -111,8 +109,8 @@ def extract_port_sequences(labels: Sequence[int], degree: int, frozen_distance: 
             j = prog.pending_bit
             if j:
                 parts: dict[int | None, list[int]] = {}
-                for m in members:
-                    parts.setdefault(extended_bit(labels[m], j), []).append(m)
+                for label in members:
+                    parts.setdefault(extended_bit(label, j), []).append(label)
                 for bit, part in parts.items():
                     child, child_out = prog.fork(), bytearray(out)
                     stack.append((child, child_out, part,
@@ -120,17 +118,16 @@ def extract_port_sequences(labels: Sequence[int], degree: int, frozen_distance: 
                 break
             obs = record(out, port)
         else:
-            ports = bytes(out)
-            for m in members:
-                sequences[m] = PortSequence(labels[m], ports)
-    return sequences
+            groups.setdefault(bytes(out), []).extend(members)
+    return groups
 
 
-def choose_ports(sequences: Sequence[PortSequence], degree: int) -> tuple[int, int, list[int]]:
-    """Pick the two port pairs the recorded programs touch least.
+def choose_ports(groups: Mapping[bytes, Sequence[int]], degree: int) -> tuple[int, int, dict]:
+    """Pick the two port pairs the recorded programs touch least, counting
+    every label of each sequence in ``groups``.
 
-    Returns ``(p1, p2, survivors)`` where survivors are the labels whose own
-    touch count of {p1, p2, degree+1-p1, degree+1-p2} is at most 8t/degree.
+    Returns ``(p1, p2, survivors)``: the sub-dict of sequences whose touch
+    count of {p1, p2, degree+1-p1, degree+1-p2} is at most 8t/degree.
     Averaging guarantees at least half the labels survive.
     """
     if degree % 2 != 0:
@@ -138,25 +135,24 @@ def choose_ports(sequences: Sequence[PortSequence], degree: int) -> tuple[int, i
     half = degree // 2
     if half < 2:
         raise DegenerateDeltaError(f"degree {degree} has fewer than two port pairs")
-    if not sequences:
-        raise InvalidParamsError("no sequences given")
-    t = len(sequences[0].ports)
-    if any(len(s.ports) != t for s in sequences):
+    n = sum(map(len, groups.values()))
+    if not n:
+        raise InvalidParamsError("no labels given")
+    t = len(next(iter(groups)))
+    if any(len(ports) != t for ports in groups):
         raise InvalidParamsError("sequences must share one horizon")
 
-    # each distinct sequence is counted once, weighted by its multiplicity
-    multiplicity = Counter(seq.ports for seq in sequences)
     totals = [0] * (half + 1)
-    for ports, m in multiplicity.items():
+    for ports, labels in groups.items():
         for p in range(1, half + 1):
-            totals[p] += m * (ports.count(p) + ports.count(degree + 1 - p))
+            totals[p] += len(labels) * (ports.count(p) + ports.count(degree + 1 - p))
     ranked = sorted(range(1, half + 1), key=lambda p: (totals[p], p))
     p1, p2 = sorted(ranked[:2])
 
     special = (p1, p2, degree + 1 - p1, degree + 1 - p2)
-    touches = {ports: sum(ports.count(x) for x in special) for ports in multiplicity}
-    survivors = [seq.label for seq in sequences if degree * touches[seq.ports] <= 8 * t]
-    if 2 * len(survivors) < len(sequences):
+    survivors = {ports: labels for ports, labels in groups.items()
+                 if degree * sum(ports.count(x) for x in special) <= 8 * t}
+    if 2 * sum(map(len, survivors.values())) < n:
         raise RuntimeError("averaging bound broken: fewer than half the labels survive")
     return p1, p2, survivors
 
@@ -170,33 +166,28 @@ def class_table(degree: int, p1: int, p2: int) -> bytes:
     return bytes(table)
 
 
-def class_string(seq: PortSequence, degree: int, p1: int, p2: int) -> bytes:
-    return seq.ports.translate(class_table(degree, p1, p2))
-
-
-def find_label_pair(sequences: Sequence[PortSequence], degree: int,
+def find_label_pair(groups: Mapping[bytes, Sequence[int]], degree: int,
                     p1: int, p2: int) -> tuple[int, int, int]:
     """Label pair whose class strings share the longest common prefix.
 
     Returns ``(label1, label2, prefix_length)`` with label1 < label2. The
     maximum is found as if the ``(class string, label)`` pairs were sorted and
-    neighbours scanned; ties resolve to the first sorted position. Labels are
-    grouped by class string first, each distinct port sequence translated
-    once: a group of two or more agrees on its whole string, and a group
-    boundary pairs the previous group's largest label with the next's
+    neighbours scanned; ties resolve to the first sorted position. Each port
+    sequence in ``groups`` is translated once and its labels merged by class
+    string: a class of two or more labels agrees on its whole string, and a
+    class boundary pairs the previous class's largest label with the next's
     smallest.
     """
-    if len(sequences) < 2:
+    if sum(map(len, groups.values())) < 2:
         raise InvalidParamsError("need at least two labels to pair")
     table = class_table(degree, p1, p2)
-    classes = {ports: ports.translate(table) for ports in {seq.ports for seq in sequences}}
-    groups: dict[bytes, list[int]] = {}
-    for seq in sequences:
-        groups.setdefault(classes[seq.ports], []).append(seq.label)
+    classes: dict[bytes, list[int]] = {}
+    for ports, labels in groups.items():
+        classes.setdefault(ports.translate(table), []).extend(labels)
     best_len, best_pair = -1, (0, 0)
-    prev: tuple[bytes, int] | None = None  # previous group's string and largest label
-    for s in sorted(groups):
-        labels = sorted(groups[s])
+    prev: tuple[bytes, int] | None = None  # previous class's string and largest label
+    for s in sorted(classes):
+        labels = sorted(classes[s])
         if prev is not None:
             ps, pl = prev
             lcp = next((i for i, (x, y) in enumerate(zip(ps, s)) if x != y),
@@ -351,18 +342,18 @@ def build_instance(make_program: ProgramFactory, degree: int, label_space: int,
             drawn.add(rng.randrange(label_space))
         labels = sorted(drawn)
     else:
-        labels = list(range(label_space))
+        labels = range(label_space)
 
     t = horizon if horizon is not None else default_extraction_horizon(degree, label_space)
     if make_program is rendezvous_program:
-        sequences = extract_port_sequences(labels, degree, distance, t)
+        groups = extract_port_sequences(labels, degree, distance, t)
     else:
-        sequences = [extract_port_sequence(make_program, lab, degree, distance, t)
-                     for lab in labels]
-    p1, p2, survivors = choose_ports(sequences, degree)
-    survivor_set = set(survivors)
-    surviving = [s for s in sequences if s.label in survivor_set]
-    label1, label2, t_star = find_label_pair(surviving, degree, p1, p2)
+        groups = {}
+        for lab in labels:
+            ports = extract_port_sequence(make_program, lab, degree, distance, t).ports
+            groups.setdefault(ports, []).append(lab)
+    p1, p2, survivors = choose_ports(groups, degree)
+    label1, label2, t_star = find_label_pair(survivors, degree, p1, p2)
 
     columns = 2 * (distance + ceil_log2(k))
     graph = number_butterfly(k, columns, p1, p2)
@@ -378,19 +369,17 @@ def build_instance(make_program: ProgramFactory, degree: int, label_space: int,
 
 
 def verify_frozen_distance(instance: AdversaryInstance,
-                           make_program: ProgramFactory = rendezvous_program,
                            extra_rounds: int | None = None) -> int:
     """Run the real engine on the built instance and count the leading rounds
     whose start-of-round distance equals the planned distance.
 
     Raises HorizonViolatedError if the count falls short of the instance's
     agreement horizon: that would mean extraction or numbering is unfaithful.
-    ``make_program`` must be the factory the instance was built against.
     """
     slack = extra_rounds if extra_rounds is not None else 8 * instance.degree
     cap = instance.agreement_horizon + slack
     result = run(instance.graph, instance.start1, instance.start2,
-                 make_program(instance.label1), make_program(instance.label2),
+                 rendezvous_program(instance.label1), rendezvous_program(instance.label2),
                  SimConfig(round_cap=cap, oracle_mode="exact", trace_detail="full"))
     # a run's rows share one distance, so the first differing row starts a run
     verified = next((head.round for head, _ in result.trace.runs()

@@ -1,18 +1,20 @@
 """The acceptance gate: one test per criterion, each printing its PASS/FAIL
 line (visible with ``pytest -s`` or in the ``selfcheck`` CLI output).
 
-Expected total runtime is about 10 s. Criterion 2 takes about 4 s of it: its
+Expected total runtime is about 10 s. Criterion 2 takes under 1 s of it: its
 explicit 2^20-label extraction walks the label trie, so labels that share a
-prefix share one simulation.
+prefix share one simulation, and the later stages see one entry per distinct
+port sequence.
 """
 
+import dataclasses
 import shlex
 from collections import deque
 
 import pytest
 
 import rvsim
-from rvsim import acceptance
+from rvsim import acceptance, build_instance
 from rvsim.cli import main
 
 
@@ -131,8 +133,40 @@ def test_criterion_1_failure_prints_the_reproduce_command(monkeypatch):
         f"--start2 {start2} --label1 2 --label2 1024 --oracle-mode exact")
 
 
-def test_criterion_2_lower_bound_reproduction():
+def _recording_builds(monkeypatch, change=lambda inst: inst):
+    """Make criterion 2 build through ``change``; the list of the real
+    instances it built."""
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(build_instance(*args, **kwargs))
+        return change(built[-1])
+
+    monkeypatch.setattr(acceptance, "build_instance", recording)
+    return built
+
+
+def test_criterion_2_lower_bound_reproduction(monkeypatch):
+    built = _recording_builds(monkeypatch)
     _report(acceptance.check_lower_bound(fast=False))
+    assert [(i.p1, i.p2, i.label1, i.label2, i.agreement_horizon) for i in built] == [
+        (1, 2, 6822464528093728, 8422219424451765, 144), (1, 2, 1, 2, 68)]
+
+
+def test_criterion_2_fails_below_the_floor_bound(monkeypatch, tmp_path, capsys):
+    # a t* below the floor bound fails the gate, as it fails `rvsim lowerbound`,
+    # and each failing spec ends with the command that rebuilds its instance
+    built = _recording_builds(monkeypatch, lambda inst: dataclasses.replace(
+        inst, agreement_horizon=inst.guaranteed_horizon - 1))
+    result = acceptance.check_lower_bound(fast=True)
+    assert not result.passed
+    details = result.detail.split("; ")
+    assert len(details) == len(built) == 2
+    for detail, inst in zip(details, built):
+        command = detail.split(", reproduce: ")[1]
+        assert ("--sample-size 1024" in command) == inst.sampled
+        assert _cli_result(command, tmp_path, monkeypatch, capsys)["t_star"] == str(
+            inst.agreement_horizon)
 
 
 def test_criterion_3_caterpillar_cost():

@@ -9,7 +9,6 @@ from rvsim import (
     DistanceOracle,
     HorizonViolatedError,
     InvalidParamsError,
-    PortSequence,
     SimConfig,
     bfs_distances,
     build_instance,
@@ -63,146 +62,163 @@ class TestExtraction:
         (16, [random.Random(3 + i).getrandbits(64) for i in range(256)], 1000),
     ], ids=["deg6-long", "deg8-default", "deg16-sampled"])
     def test_trie_walk_matches_black_box(self, degree, labels, horizon):
-        batch = extract_port_sequences(labels, degree, 3, horizon)
-        assert [s.label for s in batch] == list(labels)
-        for seq in batch:
-            assert seq == extract_port_sequence(rendezvous_program, seq.label, degree, 3,
-                                                horizon)
+        groups = extract_port_sequences(labels, degree, 3, horizon)
+        for ports, members in groups.items():
+            for label in members:
+                assert ports == extract_port_sequence(rendezvous_program, label, degree, 3,
+                                                      horizon).ports
+        members = [label for group in groups.values() for label in group]
+        assert sorted(members) == sorted(labels)  # the groups partition the labels
         if horizon >= 1000:  # many labels diverge
-            assert len({s.ports for s in batch}) >= 100
+            assert len(groups) >= 100
         else:
             # within 66 rounds only extended bits 1 and 2 are read, so at most
-            # four leaves, and labels in one leaf share one bytes object
-            assert len({id(s.ports) for s in batch}) <= 4
+            # four leaves
+            assert len(groups) <= 4
+
+
+def grouped(seqs):
+    """The grouped form of per-label ``(label, ports)`` pairs: each distinct
+    port sequence mapped to its labels, in the order given."""
+    groups = {}
+    for label, ports in seqs:
+        groups.setdefault(ports, []).append(label)
+    return groups
 
 
 class TestChoosePorts:
     def test_all_idle_tie_break(self):
-        seqs = [PortSequence(lab, bytes(10)) for lab in range(4)]
-        p1, p2, survivors = choose_ports(seqs, 8)
+        seqs = [(lab, bytes(10)) for lab in range(4)]
+        p1, p2, survivors = choose_ports(grouped(seqs), 8)
         assert (p1, p2) == (1, 2)
-        assert survivors == [0, 1, 2, 3]
+        assert survivors == {bytes(10): [0, 1, 2, 3]}
 
     def test_hand_built_toy(self):
-        seqs = [PortSequence(0, bytes([1, 1, 1, 1])),
-                PortSequence(1, bytes([2, 2, 2, 2]))]
-        p1, p2, survivors = choose_ports(seqs, 8)
+        seqs = [(0, bytes([1, 1, 1, 1])), (1, bytes([2, 2, 2, 2]))]
+        p1, p2, survivors = choose_ports(grouped(seqs), 8)
         assert (p1, p2) == (3, 4)
-        assert survivors == [0, 1]
+        assert survivors == grouped(seqs)
+
+    def test_input_checks(self):
+        with pytest.raises(InvalidParamsError, match="even degree"):
+            choose_ports(grouped([(0, bytes(3))]), 7)
+        with pytest.raises(InvalidParamsError, match="fewer than two port pairs"):
+            choose_ports(grouped([(0, bytes(3))]), 2)
+        with pytest.raises(InvalidParamsError, match="no labels"):
+            choose_ports({}, 8)
+        with pytest.raises(InvalidParamsError, match="no labels"):
+            choose_ports(extract_port_sequences([], 8, 3, 10), 8)
+        with pytest.raises(InvalidParamsError, match="one horizon"):
+            choose_ports(grouped([(0, bytes(3)), (1, bytes(4))]), 8)
 
     @given(st.integers(2, 12), st.lists(st.integers(0, 8), min_size=1, max_size=40),
            st.integers(0, 10 ** 6))
     def test_averaging_bounds_on_random_stubs(self, n_labels, shape, seed):
-        import random
         rng = random.Random(seed)
         t = len(shape)
         degree = 8
-        seqs = [PortSequence(lab, bytes(rng.randint(0, degree) for _ in range(t)))
+        seqs = [(lab, bytes(rng.randint(0, degree) for _ in range(t)))
                 for lab in range(n_labels)]
-        p1, p2, survivors = choose_ports(seqs, degree)
+        p1, p2, survivors = choose_ports(grouped(seqs), degree)
         special = {p1, p2, degree + 1 - p1, degree + 1 - p2}
-        s_total = sum(1 for s in seqs for x in s.ports if x in special)
+        s_total = sum(1 for _, ports in seqs for x in ports if x in special)
         assert s_total <= 4 * t * n_labels / degree  # the two rarest pairs
-        assert 2 * len(survivors) >= n_labels
-        for s in seqs:
-            if s.label in survivors:
-                own = sum(1 for x in s.ports if x in special)
+        surviving = [lab for labels in survivors.values() for lab in labels]
+        assert 2 * len(surviving) >= n_labels
+        for lab, ports in seqs:
+            if lab in surviving:
+                own = sum(1 for x in ports if x in special)
                 assert own * degree <= 8 * t
-
 
     @given(st.lists(st.binary(min_size=6, max_size=6), min_size=1, max_size=4),
            st.lists(st.integers(0, 3), min_size=2, max_size=30))
     def test_repeated_sequences_count_per_label(self, shapes, picks):
-        # labels may share one ports object or hold equal copies; choose_ports
-        # must count every label, as a per-label scan does
+        # every label of a group counts, as in a per-label scan
         degree = 8
         shapes = [bytes(b % (degree + 1) for b in shape) for shape in shapes]
-        seqs = [PortSequence(lab, shapes[k % len(shapes)] if lab % 2
-                             else bytes(bytearray(shapes[k % len(shapes)])))
-                for lab, k in enumerate(picks)]
-        totals = {p: sum(s.ports.count(p) + s.ports.count(degree + 1 - p) for s in seqs)
+        seqs = [(lab, shapes[k % len(shapes)]) for lab, k in enumerate(picks)]
+        totals = {p: sum(ports.count(p) + ports.count(degree + 1 - p) for _, ports in seqs)
                   for p in range(1, degree // 2 + 1)}
         p1, p2 = sorted(sorted(totals, key=lambda p: (totals[p], p))[:2])
         special = (p1, p2, degree + 1 - p1, degree + 1 - p2)
-        survivors = [s.label for s in seqs
-                     if degree * sum(s.ports.count(x) for x in special) <= 8 * 6]
-        assert choose_ports(seqs, degree) == (p1, p2, survivors)
+        survivors = [(lab, ports) for lab, ports in seqs
+                     if degree * sum(ports.count(x) for x in special) <= 8 * 6]
+        assert choose_ports(grouped(seqs), degree) == (p1, p2, grouped(survivors))
 
 
 class TestFindLabelPair:
     def test_identical_class_strings_agree_fully(self):
-        seqs = [PortSequence(0, bytes([0, 3, 0, 3])),
-                PortSequence(1, bytes([3, 0, 3, 0]))]
+        seqs = [(0, bytes([0, 3, 0, 3])), (1, bytes([3, 0, 3, 0]))]
         # with (p1, p2) = (1, 2), ports 0 and 3 are both stay-class
-        l1, l2, t_star = find_label_pair(seqs, 8, 1, 2)
+        l1, l2, t_star = find_label_pair(grouped(seqs), 8, 1, 2)
         assert (l1, l2, t_star) == (0, 1, 4)
 
     def test_first_divergence_bounds_prefix(self):
         # class strings AAC.. vs ABC..: prefix length 1
-        seqs = [PortSequence(0, bytes([1, 2, 0])),
-                PortSequence(1, bytes([1, 8, 0]))]  # 8 = 9-1 is backward class
-        l1, l2, t_star = find_label_pair(seqs, 8, 1, 2)
+        seqs = [(0, bytes([1, 2, 0])), (1, bytes([1, 8, 0]))]  # 8 = 9-1 is backward class
+        l1, l2, t_star = find_label_pair(grouped(seqs), 8, 1, 2)
         assert t_star == 1
+
+    def test_one_label_rejected(self):
+        with pytest.raises(InvalidParamsError, match="two labels"):
+            find_label_pair(grouped([(0, bytes(3))]), 8, 1, 2)
 
     @given(st.integers(2, 16), st.integers(1, 30), st.integers(0, 10 ** 6))
     def test_pure_stay_sequences_agree_fully(self, n_labels, t, seed):
-        import random
         rng = random.Random(seed)
         stay_ports = [0, 3, 6]  # with (p1,p2)=(1,2) on degree 8: complements 8,7
-        seqs = [PortSequence(lab, bytes(rng.choice(stay_ports) for _ in range(t)))
+        seqs = [(lab, bytes(rng.choice(stay_ports) for _ in range(t)))
                 for lab in range(n_labels)]
-        _, _, t_star = find_label_pair(seqs, 8, 1, 2)
+        _, _, t_star = find_label_pair(grouped(seqs), 8, 1, 2)
         assert t_star == t
 
     def test_picks_longest_common_prefix(self):
         # brute-force oracle over all pairs
-        import itertools, random
+        import itertools
         rng = random.Random(5)
         degree = 8
-        seqs = [PortSequence(lab, bytes(rng.randint(0, degree) for _ in range(12)))
+        seqs = [(lab, bytes(rng.randint(0, degree) for _ in range(12)))
                 for lab in range(10)]
-        from rvsim.adversary import class_string
+        table = class_table(degree, 2, 3)
         best = -1
-        for a, b in itertools.combinations(seqs, 2):
-            sa = class_string(a, degree, 2, 3)
-            sb = class_string(b, degree, 2, 3)
+        for (_, a), (_, b) in itertools.combinations(seqs, 2):
+            sa, sb = a.translate(table), b.translate(table)
             lcp = 0
             while lcp < 12 and sa[lcp] == sb[lcp]:
                 lcp += 1
             best = max(best, lcp)
-        _, _, t_star = find_label_pair(seqs, degree, 2, 3)
+        _, _, t_star = find_label_pair(grouped(seqs), degree, 2, 3)
         assert t_star == best
 
     def test_proper_prefix_agrees_on_the_shorter_length(self):
-        seqs = [PortSequence(1, b"\x01\x02"), PortSequence(2, b"\x01\x02\x03")]
-        assert find_label_pair(seqs, 8, 1, 2) == (1, 2, 2)
+        seqs = [(1, b"\x01\x02"), (2, b"\x01\x02\x03")]
+        assert find_label_pair(grouped(seqs), 8, 1, 2) == (1, 2, 2)
 
     def test_ties_resolve_to_the_first_sorted_group(self):
         # class strings AB (labels 7, 9) and BA (labels 1, 2) agree in full
-        seqs = [PortSequence(1, bytes([8, 1])), PortSequence(9, bytes([1, 8])),
-                PortSequence(2, bytes([8, 2])), PortSequence(7, bytes([2, 7]))]
-        assert find_label_pair(seqs, 8, 1, 2) == (7, 9, 2)
+        seqs = [(1, bytes([8, 1])), (9, bytes([1, 8])), (2, bytes([8, 2])), (7, bytes([2, 7]))]
+        assert find_label_pair(grouped(seqs), 8, 1, 2) == (7, 9, 2)
 
     @given(st.sampled_from([4, 6, 8]), st.data())
     def test_matches_sorted_scan_reference(self, degree, data):
-        """Grouping by class string picks the same pair, ties included, as
-        sorting every (class string, label) pair and scanning neighbours."""
+        """Merging groups by class string picks the same pair, ties included,
+        as sorting every (class string, label) pair and scanning neighbours."""
         length = data.draw(st.integers(0, 4), label="length")
         pool = data.draw(st.lists(st.binary(min_size=length, max_size=length + 1).map(
             lambda b: bytes(x % (degree + 1) for x in b)), min_size=1, max_size=5))
         labels = data.draw(st.lists(st.integers(0, 40), min_size=2, max_size=24))
-        seqs = [PortSequence(lab, data.draw(st.sampled_from(pool))) for lab in labels]
+        seqs = [(lab, data.draw(st.sampled_from(pool))) for lab in labels]
         p1, p2 = sorted(data.draw(st.lists(st.integers(1, degree // 2), min_size=2,
                                            max_size=2, unique=True)))
         table = class_table(degree, p1, p2)
-        keyed = sorted((seq.ports.translate(table), seq.label) for seq in seqs)
+        keyed = sorted((ports.translate(table), lab) for lab, ports in seqs)
         best_len, best_pair = -1, (0, 0)
         for (sa, la), (sb, lb) in zip(keyed, keyed[1:]):
             lcp = next((i for i, (x, y) in enumerate(zip(sa, sb)) if x != y),
                        min(len(sa), len(sb)))
             if lcp > best_len:
                 best_len, best_pair = lcp, (min(la, lb), max(la, lb))
-        assert find_label_pair(seqs, degree, p1, p2) == (*best_pair, best_len)
+        assert find_label_pair(grouped(seqs), degree, p1, p2) == (*best_pair, best_len)
 
 
 class TestNumbering:
@@ -288,11 +304,21 @@ class TestBuildInstance:
 
     def test_black_box_factory_builds_the_same_instance(self):
         # build_instance walks the label trie for rendezvous_program and runs
-        # any other factory per label; both must agree
+        # any other factory per label; both must agree, also at horizon 600,
+        # where the labels split into many groups
         wrapped = lambda label: rendezvous_program(label)  # noqa: E731
-        for space, distance in ((16, 2), (2 ** 10, 2)):
-            assert (build_instance(wrapped, 6, space, distance)
-                    == build_instance(rendezvous_program, 6, space, distance))
+        for space, horizon in ((16, None), (2 ** 10, None), (2 ** 8, 600)):
+            assert (build_instance(wrapped, 6, space, 2, horizon=horizon)
+                    == build_instance(rendezvous_program, 6, space, 2, horizon=horizon))
+
+    @pytest.mark.parametrize("space,want", [
+        (2 ** 6, (1, 2, 62, 63, 344)),
+        (2 ** 8, (1, 2, 254, 255, 464)),
+    ])
+    def test_pinned_instances_past_the_default_horizon(self, space, want):
+        # the gate cases are pinned in test_acceptance, on the gate's own builds
+        inst = build_instance(rendezvous_program, 8, space, 3, horizon=1000)
+        assert (inst.p1, inst.p2, inst.label1, inst.label2, inst.agreement_horizon) == want
 
     def test_sampled_big_label_space(self):
         inst = build_instance(rendezvous_program, degree=8, label_space=2 ** 40,
