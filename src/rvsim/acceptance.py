@@ -16,6 +16,7 @@ import subprocess
 import sys
 import tempfile
 from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 from .agents import (default_round_cap, degree_class, rendezvous_program,
@@ -26,7 +27,8 @@ from .graphs import (FAMILIES, PortGraph, bfs_distances, butterfly_coords, butte
                      generate_butterfly, generate_caterpillar,
                      generate_random_connected, generate_ring, materialize)
 from .oracle import DistanceOracle
-from .sim import CAP, MET, SimConfig, run
+from .sim import (CAP, MET, RunResult, SimConfig, check_starts, run, trace_header,
+                  write_trace)
 
 # the label pool every corpus pair is drawn from
 LABEL_POOL = (0, 1, 2, 3, 5, 2 ** 10, 2 ** 16 - 1)
@@ -113,6 +115,29 @@ def _cell_graph(cell: Cell) -> PortGraph:
     return g
 
 
+def measured_run(g: PortGraph, start1: int, start2: int, label1: int, label2: int,
+                 oracle_mode: str = "exact", round_cap: int = 0,
+                 trace_out: str | None = None) -> tuple[RunResult, int, int, int]:
+    """The run that ``rvsim run`` and a corpus cell make: the programs of the
+    two labels from the two starts, under ``round_cap`` or, when that is 0,
+    the cap that the start distance and labels give. Returns the result, the
+    start distance, the round cap and the analytic bound. With ``trace_out``
+    the full trace is written there; the file is opened before the run, so
+    that a bad path costs no rounds."""
+    check_starts(g, start1, start2)
+    start_distance = bfs_distances(g, start1, target=start2)[start2]
+    cap = round_cap or default_round_cap(g.max_degree, start_distance, label1, label2)
+    analytic = rendezvous_round_bound(g.max_degree, start_distance, label1, label2)
+    cfg = SimConfig(round_cap=cap, oracle_mode=oracle_mode,
+                    trace_detail="full" if trace_out else "meeting-only")
+    prog1, prog2 = rendezvous_program(label1), rendezvous_program(label2)
+    with open(trace_out, "w", encoding="ascii") if trace_out else nullcontext() as fh:
+        result = run(g, start1, start2, prog1, prog2, cfg)
+        if fh is not None:
+            write_trace(fh, trace_header(g, start1, start2, label1, label2, cfg), result)
+    return result, start_distance, cap, analytic
+
+
 def run_cell(cell: Cell) -> dict:
     """Execute one corpus cell and report a SWEEP_COLUMNS row.
 
@@ -138,14 +163,8 @@ def run_cell(cell: Cell) -> dict:
         g = _cell_graph(cell)
         start2 = cell.start2 if cell.start2 >= 0 else farthest_node(g, cell.start1)
         row["start2"] = start2
-        start_distance = bfs_distances(g, cell.start1, target=start2)[start2]
-        cap = default_round_cap(g.max_degree, start_distance, cell.label1, cell.label2)
-        analytic = rendezvous_round_bound(g.max_degree, start_distance,
-                                          cell.label1, cell.label2)
-        res = run(g, cell.start1, start2,
-                  rendezvous_program(cell.label1), rendezvous_program(cell.label2),
-                  SimConfig(round_cap=cap, oracle_mode=cell.oracle_mode,
-                            trace_detail="meeting-only"))
+        res, start_distance, cap, analytic = measured_run(
+            g, cell.start1, start2, cell.label1, cell.label2, cell.oracle_mode)
         row.update(n=g.num_nodes, m=g.num_edges, max_degree=g.max_degree,
                    start_distance=start_distance, outcome=res.outcome,
                    met_round="" if res.met_round is None else res.met_round,
@@ -200,8 +219,8 @@ def upper_bound_corpus() -> list[Cell]:
 
 def reproduce_command(cell: Cell, row: dict) -> str:
     """The ``rvsim generate … && rvsim run …`` commands that repeat the run
-    of ``cell``, whose ``row`` holds its resolved start2. ``run`` derives the
-    same round cap as run_cell."""
+    of ``cell``, whose ``row`` holds its resolved start2. Both run through
+    measured_run, so ``run`` derives the same round cap as run_cell."""
     params = " ".join(f"--{k.replace('_', '-')} {v}" for k, v in cell.params)
     return (f"rvsim generate --family {cell.family} {params} --out g.txt && "
             f"rvsim run --graph g.txt --start1 {cell.start1} --start2 {row['start2']} "

@@ -17,15 +17,13 @@ import math
 import os
 import sys
 import time
-from contextlib import nullcontext
 
 from . import acceptance
-from .acceptance import SWEEP_COLUMNS, Cell, run_cell
+from .acceptance import SWEEP_COLUMNS, Cell, measured_run, run_cell
 from .adversary import HorizonViolatedError, build_instance, verify_frozen_distance
-from .agents import default_round_cap, rendezvous_program, rendezvous_round_bound
-from .graphs import FAMILIES, bfs_distances, load_graph, materialize, save_graph
-from .sim import (MET, SimConfig, Trace, check_starts, read_trace, replay_check, run,
-                  trace_header, write_trace)
+from .agents import rendezvous_program
+from .graphs import FAMILIES, load_graph, materialize, save_graph
+from .sim import MET, Trace, read_trace, replay_check
 
 
 def _ints(text: str) -> list[int]:
@@ -98,21 +96,9 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     g = load_graph(args.graph)
-    check_starts(g, args.start1, args.start2)
-    start_distance = bfs_distances(g, args.start1, target=args.start2)[args.start2]
-    cap = args.round_cap or default_round_cap(g.max_degree, start_distance,
-                                              args.label1, args.label2)
-    analytic = rendezvous_round_bound(g.max_degree, start_distance,
-                                      args.label1, args.label2)
-    cfg = SimConfig(round_cap=cap, oracle_mode=args.oracle_mode,
-                    trace_detail="full" if args.trace_out else "meeting-only")
-    prog1, prog2 = rendezvous_program(args.label1), rendezvous_program(args.label2)
-    # the trace file is opened first, so that a bad path costs no rounds
-    with open(args.trace_out, "w", encoding="ascii") if args.trace_out else nullcontext() as fh:
-        result = run(g, args.start1, args.start2, prog1, prog2, cfg)
-        if fh is not None:
-            write_trace(fh, trace_header(g, args.start1, args.start2,
-                                         args.label1, args.label2, cfg), result)
+    result, start_distance, cap, analytic = measured_run(
+        g, args.start1, args.start2, args.label1, args.label2, args.oracle_mode,
+        args.round_cap, args.trace_out)
     out = [("outcome", result.outcome),
            ("met_round", "" if result.met_round is None else result.met_round),
            ("rounds", result.rounds), ("start_distance", start_distance),
@@ -153,6 +139,8 @@ def _sweep_starts(args, params: dict) -> list[tuple[int, int]]:
 def _sweep_cells(args) -> list[Cell]:
     if args.label_pairs:
         pairs = _label_pairs(args.label_pairs)
+        if not pairs:
+            raise ValueError(f"--label-pairs {args.label_pairs} holds no label pair")
     else:
         lo, _, hi = args.label_range.partition(":")
         labels = range(int(lo), int(hi))
@@ -162,8 +150,12 @@ def _sweep_cells(args) -> list[Cell]:
     if any(a < 0 or b < 0 for a, b in pairs):
         raise ValueError("labels must be >= 0")
     names = FAMILIES[args.family].params
-    grid = [parse(getattr(args, flag))
-            for flag, parse in (_SWEEP_LISTS[name] for name in names)]
+    grid = []
+    for flag, parse in (_SWEEP_LISTS[name] for name in names):
+        values = parse(getattr(args, flag))
+        if not values:
+            raise ValueError(f"--{flag.replace('_', '-')} lists no value")
+        grid.append(values)
     cells: list[Cell] = []
     for values in itertools.product(*grid):
         params = dict(zip(names, values))
@@ -258,8 +250,8 @@ def cmd_lowerbound(args) -> int:
 # ----------------------------------------------------------------------------
 
 def _record_violations(header: dict, rows: Trace, result: dict) -> list[str]:
-    """Where the rows disagree with the header's starts or with the result's
-    round count and final positions."""
+    """Where the rows disagree with the header's starts, with the result's
+    round count and final positions, or with their own row indices."""
     violations = []
     starts = (header.get("start1"), header.get("start2"))
     finals = (result.get("final1"), result.get("final2"))
@@ -272,6 +264,12 @@ def _record_violations(header: dict, rows: Trace, result: dict) -> list[str]:
     if rows and (rows[-1].next1, rows[-1].next2) != finals:
         violations.append(f"trace: the run ends at {(rows[-1].next1, rows[-1].next2)}, "
                           f"but the result says {finals}")
+    i = 0  # the index of each run's first row, which its round must equal
+    for head, count in rows.runs():
+        if head[0] != i:
+            violations.append(f"trace: row {i} has round {head[0]}")
+            break
+        i += count
     return violations
 
 
@@ -381,10 +379,10 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     trace_check = trace_sub.add_parser(
         "check", help="replay a trace against its graph",
-        description="Read a trace (format 2 or 1), check that its header names the "
-                    "graph, that its rows match the header's starts and the result's "
-                    "rounds and final positions, and replay every row; exit 1 lists "
-                    "the violations.")
+        description="Read a trace, check that its header names the graph, that its "
+                    "rows match the header's starts and the result's rounds and final "
+                    "positions and are numbered from round 0, and replay every run of "
+                    "rows; exit 1 lists the violations.")
     trace_check.add_argument("trace", help="a trace file that run --trace-out wrote")
     trace_check.add_argument("--graph", required=True)
     trace_check.set_defaults(func=cmd_trace_check)

@@ -252,10 +252,11 @@ def replay_check(rows: Iterable[TraceRow], g: PortGraph) -> list[str]:
     """Re-validate a full trace against the graph: node ranges, move legality,
     exact distances, and position continuity. Returns violation descriptions.
 
-    A row list is grouped into a Trace first. Once a run's row is clean and
-    moves no agent, each later row of the run passes every check the same
-    way, so the run is checked once; any other run is checked row by row.
-    The checks that read only a row's last nine fields run once per tail."""
+    A row list is grouped into a Trace first. A run's rows share their last
+    nine fields, so each run is checked once and each fault is reported once
+    for its rows, as ``rows a..b: <fault>``; the checks of those fields run
+    once per distinct tail. Inside a run the distance holds, and continuity
+    breaks at each row after the first exactly when an agent moves."""
     oracle = DistanceOracle(g)
     n = g.num_nodes
 
@@ -280,7 +281,7 @@ def replay_check(rows: Iterable[TraceRow], g: PortGraph) -> list[str]:
 
     violations = []
     known: dict[tuple, list[str]] = {}  # a tail -> tail_faults of it
-    before: tuple[int, int] | None = None  # previous row's (next1, next2)
+    before: tuple[int, int] | None = None  # the previous run's (next1, next2)
     prev_dist = 0
     for head, count in Trace(rows).runs():
         first, tail = head[0], head[1:]
@@ -288,20 +289,23 @@ def replay_check(rows: Iterable[TraceRow], g: PortGraph) -> list[str]:
         if faults is None:
             faults = known[tail] = tail_faults(*tail)
         pos1, pos2, dist, *_, next1, next2 = tail
-        for rnd in range(first, first + count):
-            found = len(violations)
-            if before is not None:
-                if before != (pos1, pos2):
-                    violations.append(f"row {rnd}: start positions ({pos1}, {pos2}) "
-                                      f"break continuity with {before}")
-                if abs(dist - prev_dist) > 2:
-                    violations.append(f"row {rnd}: distance jumped {prev_dist} -> {dist}")
-            before, prev_dist = (next1, next2), dist
-            if faults:
-                violations += [f"row {rnd}: {fault}" for fault in faults]
-            if len(violations) == found and next1 == pos1 and next2 == pos2:
-                break
+        if before is not None:
+            if before != (pos1, pos2):
+                violations.append(f"row {first}: start positions ({pos1}, {pos2}) "
+                                  f"break continuity with {before}")
+            if abs(dist - prev_dist) > 2:
+                violations.append(f"row {first}: distance jumped {prev_dist} -> {dist}")
+        before, prev_dist = (next1, next2), dist
+        if faults:
+            violations += [f"{_row_span(first, count)}: {fault}" for fault in faults]
+        if count > 1 and before != (pos1, pos2):
+            violations.append(f"{_row_span(first + 1, count - 1)}: start positions "
+                              f"({pos1}, {pos2}) break continuity with {before}")
     return violations
+
+
+def _row_span(first: int, count: int) -> str:
+    return f"row {first}" if count == 1 else f"rows {first}..{first + count - 1}"
 
 
 # ----------------------------------------------------------------------------
@@ -318,7 +322,7 @@ TRACE_FORMAT = 2
 # often enough (40 texts for 16,310 runs in the longrun benchmark) that the
 # writer and the reader each convert a tail once. The reader matches each
 # field as a JSON integer of at most 18 digits and sends every other line,
-# longer numbers and format-1 row records included, to json.loads.
+# longer numbers included, to json.loads.
 _RUN_FIELDS = ("round", "count") + TraceRow._fields[1:]
 _RUN_HEAD = '{"kind": "rows", "round": %d, "count": %d, '
 _RUN_TAIL = ", ".join(f'"{f}": %d' for f in TraceRow._fields[1:]) + "}\n"
@@ -372,16 +376,15 @@ def write_trace(fh: IO[str], header: dict, result: RunResult) -> None:
 
 
 def read_trace(fh: IO[str]) -> tuple[dict, Trace, dict]:
-    """Read a format-2 trace, or a format-1 trace of one row record per round,
-    into its header, its Trace and its result record.
+    """Read a format-2 trace into its header, its Trace and its result record.
 
-    A run record is accepted only after a format-2 header, and only while the
-    rows stay within its round_cap and within ``sys.maxsize``, which ``len``
-    can report. Adjacent records with equal last nine fields and consecutive
-    rounds join one run, so format-1 rows and split runs read as the writer's
-    runs. The runs are never expanded; they must come to no more rows than
-    the result record's ``rounds``: a trace holds at most one row per round
-    that its result counts."""
+    A header of another format, or with none (format 1), raises on its line.
+    A run record is accepted only after a header with an integer round_cap,
+    and only while the rows stay within it and within ``sys.maxsize``, which
+    ``len`` can report. Adjacent records with equal last nine fields and
+    consecutive rounds join one run. The runs are never expanded; they must
+    come to no more rows than the result record's ``rounds``: a trace holds
+    at most one row per round that its result counts."""
     header: dict | None = None
     heads: list[TraceRow] = []  # the first row of each run
     starts: list[int] = []  # the row index each run starts at
@@ -389,20 +392,12 @@ def read_trace(fh: IO[str]) -> tuple[dict, Trace, dict]:
     nxt = last = None  # the round after the last record's rows, and their last nine fields
     result: dict | None = None
     result_line = 0
-    cap = None  # the round_cap of a format-2 header
+    cap = None  # the header's round_cap
     new = tuple.__new__  # skips TraceRow's argument parsing
     tails: dict[str, tuple] = {}  # a run line's tail text -> its nine fields
 
-    def add(rnd: int, count: int, tail: tuple) -> None:
-        nonlocal total, nxt, last
-        if rnd != nxt or tail != last:
-            heads.append(new(TraceRow, (rnd, *tail)))
-            starts.append(total)
-            last = tail
-        total += count
-        nxt = rnd + count
-
     def hold(lineno: int, rnd: int, count: int, tail: tuple) -> None:
+        nonlocal total, nxt, last
         if type(cap) is not int:
             raise TraceFormatError("run record without a format-2 header with an integer "
                                    "round_cap before it", lineno)
@@ -414,7 +409,12 @@ def read_trace(fh: IO[str]) -> tuple[dict, Trace, dict]:
         if count > sys.maxsize - total:
             raise TraceFormatError(f"run of {count} rows takes the trace past "
                                    f"{sys.maxsize} rows", lineno)
-        add(rnd, count, tail)
+        if rnd != nxt or tail != last:
+            heads.append(new(TraceRow, (rnd, *tail)))
+            starts.append(total)
+            last = tail
+        total += count
+        nxt = rnd + count
 
     for lineno, line in enumerate(fh, start=1):
         m = _match_run_line(line)
@@ -435,20 +435,19 @@ def read_trace(fh: IO[str]) -> tuple[dict, Trace, dict]:
             raise TraceFormatError("record is not a JSON object", lineno)
         kind = rec.get("kind")
         if kind == "header":
-            header = rec
-            cap = rec.get("round_cap") if rec.get("format") == TRACE_FORMAT else None
-        elif kind in ("row", "rows"):  # a format-1 row, or a run spelled another way
-            names = TraceRow._fields if kind == "row" else _RUN_FIELDS
-            for name in names:
+            fmt = rec.get("format", 1)
+            if type(fmt) is not int or fmt != TRACE_FORMAT:
+                raise TraceFormatError(f"trace format {fmt!r} is not supported; "
+                                       f"rvsim reads format {TRACE_FORMAT}", lineno)
+            header, cap = rec, rec.get("round_cap")
+        elif kind == "rows":  # a run spelled another way, or with a longer number
+            for name in _RUN_FIELDS:
                 if name not in rec:
-                    raise TraceFormatError(f"{kind} record missing field {name!r}", lineno)
+                    raise TraceFormatError(f"rows record missing field {name!r}", lineno)
                 if type(rec[name]) is not int:
-                    raise TraceFormatError(f"{kind} field {name!r} is not an integer", lineno)
-            values = [rec[name] for name in names]
-            if kind == "row":
-                add(values[0], 1, tuple(values[1:]))
-            else:
-                hold(lineno, values[0], values[1], tuple(values[2:]))
+                    raise TraceFormatError(f"rows field {name!r} is not an integer", lineno)
+            rnd, count, *tail = (rec[name] for name in _RUN_FIELDS)
+            hold(lineno, rnd, count, tuple(tail))
         elif kind == "result":
             result, result_line = rec, lineno
     if header is None or result is None:

@@ -142,9 +142,9 @@ class TestTraceCheck:
         code, out, _ = self._check(traced, capsys)
         assert (code, out) == (0, "rows=72 violations=0\n")
 
-    def test_format_1_trace_exits_0(self, traced, capsys):
+    def test_format_1_trace_exits_2(self, traced, capsys):
         """The same rows, one format-1 record per round under a header with
-        no format field, check alike."""
+        no format field, are refused at the header, naming the format."""
         with open(traced, encoding="ascii") as fh:
             header, rows, result = read_trace(fh)
         del header["format"]
@@ -152,8 +152,20 @@ class TestTraceCheck:
         lines += [json.dumps({"kind": "row", **row._asdict()}) for row in rows]
         lines.append(json.dumps(result))
         traced.write_text("\n".join(lines) + "\n")
+        code, out, err = self._check(traced, capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: line 1: trace format 1 is not supported; rvsim reads format 2\n"
+
+    def test_round_shifted_trace_exits_1(self, traced, capsys):
+        """Rows numbered from round 1000 replay clean, but their rounds are
+        not their row indices."""
+        lines = traced.read_text().splitlines(keepends=True)
+        for i in range(1, len(lines) - 1):
+            rec = json.loads(lines[i])
+            lines[i] = json.dumps({**rec, "round": rec["round"] + 1000}) + "\n"
+        traced.write_text("".join(lines))
         code, out, _ = self._check(traced, capsys)
-        assert (code, out) == (0, "rows=72 violations=0\n")
+        assert (code, out) == (1, "trace: row 0 has round 1000\nrows=72 violations=1\n")
 
     def test_perturbed_trace_exits_1_with_violations(self, traced, capsys):
         lines = traced.read_text().splitlines(keepends=True)
@@ -162,13 +174,12 @@ class TestTraceCheck:
         lines[3] = json.dumps(rec) + "\n"
         traced.write_text("".join(lines))
         code, out, _ = self._check(traced, capsys)
-        assert code == 1
-        *violations, summary = out.splitlines()
-        # each row of the run carries the wrong distance
-        run_rounds = range(rec["round"], rec["round"] + rec["count"])
-        assert violations == [f"row {r}: recorded distance {rec['dist']}, actual {rec['dist'] - 1}"
-                              for r in run_rounds]
-        assert summary == f"rows=72 violations={len(violations)}"
+        # every row of the run carries the wrong distance: one line for the run
+        last = rec["round"] + rec["count"] - 1
+        assert rec["count"] > 1
+        assert (code, out) == (1, f"rows {rec['round']}..{last}: recorded distance "
+                                  f"{rec['dist']}, actual {rec['dist'] - 1}\n"
+                                  "rows=72 violations=1\n")
 
     def test_truncated_trace_exits_1(self, traced, capsys):
         """With the last run record gone, the rows fall short of the result's
@@ -211,6 +222,19 @@ class TestTraceCheck:
         self._forge(traced, [rows], 10 ** 18 if rows < 10 ** 18 else 10 ** 19)
         code, out, _ = self._check(traced, capsys)
         assert (code, out) == (0, f"rows={rows} violations=0\n")
+
+    def test_huge_faulty_run_is_reported_once(self, traced, capsys):
+        """An idle run of 10^17 rows with a distance one too high is one
+        violation line, not one per row."""
+        rows = 10 ** 17
+        self._forge(traced, [rows], 10 ** 18)
+        header, run_line, result = traced.read_text().splitlines(keepends=True)
+        rec = json.loads(run_line)
+        run_line = json.dumps({**rec, "dist": rec["dist"] + 1}) + "\n"
+        traced.write_text(header + run_line + result)
+        code, out, _ = self._check(traced, capsys)
+        assert (code, out) == (1, f"rows 0..{rows - 1}: recorded distance {rec['dist'] + 1}, "
+                                  f"actual {rec['dist']}\nrows={rows} violations=1\n")
 
     @pytest.mark.parametrize("counts", [[10 ** 19], [5 * 10 ** 18, 5 * 10 ** 18]])
     def test_rows_past_maxsize_exit_2(self, traced, capsys, counts):
@@ -260,14 +284,21 @@ class TestSweep:
             assert b <= 3 * a  # doubling the distance at most triples the cost
         assert all(float(r["bound_ratio"]) <= 1 for r in rows)
 
-    def test_empty_grid_header_only(self, tmp_path, capsys):
+    @pytest.mark.parametrize("args, message", [
+        pytest.param(["--family", "ring", "--label-pairs", "2:5"], "--sizes lists no value",
+                     id="no-sizes"),
+        pytest.param(["--family", "caterpillar", "--spine-lengths", "2", "--label-pairs", "2:5"],
+                     "--degrees lists no value", id="no-degrees"),
+        pytest.param(["--family", "ring", "--sizes", "6", "--label-pairs", ","],
+                     "--label-pairs , holds no label pair", id="no-label-pair"),
+    ])
+    def test_no_cells_exit_2(self, tmp_path, capsys, args, message):
+        """A grid with no cells is a usage error: no CSV, no summary."""
         out = tmp_path / "empty.csv"
-        code = main(["sweep", "--family", "ring", "--sizes", "", "--label-pairs",
-                     "2:5", "--out", str(out)])
-        assert code == 0
-        with open(out) as fh:
-            lines = fh.read().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("family,params")
+        code = main(["sweep", *args, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+        assert not out.exists()
 
     def test_schema_is_stable(self, tmp_path, capsys):
         out = tmp_path / "s.csv"

@@ -1,7 +1,7 @@
 import io
 import json
 import random
-import re
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, strategies as st
@@ -146,70 +146,6 @@ class TestReplayCheck:
         assert not any("outside" in p for p in problems if not p.startswith("row 4: "))
 
 
-# ----------------------------------------------------------------------------
-# reference format-1 trace I/O: one record per round from one line template,
-# and a reader that makes one regex match or one json.loads per line;
-# read_trace must still read their traces as the reference reader does
-# ----------------------------------------------------------------------------
-
-_REF_ROW_LINE = ('{"kind": "row", ' + ", ".join(f'"{f}": %d' for f in TraceRow._fields)
-                 + "}\n")
-_ref_match_row_line = re.compile(re.escape(_REF_ROW_LINE[:-1]).replace(
-    "%d", "(-?(?:0|[1-9][0-9]{0,17}))") + "\n?").fullmatch
-
-
-def _reference_write(fh, header, result):
-    fh.write(json.dumps(header) + "\n")
-    fh.writelines(_REF_ROW_LINE % row for row in result.trace or ())
-    fh.write(json.dumps({
-        "kind": "result",
-        "outcome": result.outcome,
-        "met_round": result.met_round,
-        "rounds": result.rounds,
-        "final1": result.final1,
-        "final2": result.final2,
-        "min_distance": result.min_distance,
-    }) + "\n")
-
-
-def _reference_read(fh):
-    header = result = None
-    rows = []
-    for lineno, line in enumerate(fh, start=1):
-        m = _ref_match_row_line(line)
-        if m:
-            rows.append(TraceRow._make(map(int, m.groups())))
-            continue
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except ValueError as exc:
-            raise TraceFormatError(f"not JSON ({exc})", lineno) from None
-        if not isinstance(rec, dict):
-            raise TraceFormatError("record is not a JSON object", lineno)
-        kind = rec.get("kind")
-        if kind == "header":
-            header = rec
-        elif kind == "row":
-            for name in TraceRow._fields:
-                if name not in rec:
-                    raise TraceFormatError(f"row record missing field {name!r}", lineno)
-                if type(rec[name]) is not int:
-                    raise TraceFormatError(f"row field {name!r} is not an integer", lineno)
-            rows.append(TraceRow._make(rec[name] for name in TraceRow._fields))
-        elif kind == "result":
-            result = rec
-    if header is None or result is None:
-        raise TraceFormatError("trace missing header or result record")
-    return header, rows, result
-
-
-def _v1_header(header):
-    """``header`` as format 1 wrote it, with no format field."""
-    return {key: value for key, value in header.items() if key != "format"}
-
-
 def _trace_text(writer, header, result) -> str:
     buf = io.StringIO()
     writer(buf, header, result)
@@ -228,8 +164,6 @@ RING6_CFG = SimConfig(round_cap=300)
 RING6_RUN = run(RING6, 0, 3, rendezvous_program(2), rendezvous_program(3), RING6_CFG)
 RING6_HEADER = trace_header(RING6, 0, 3, 2, 3, RING6_CFG)
 TRACE_LINES = _trace_text(write_trace, RING6_HEADER, RING6_RUN).splitlines(keepends=True)
-V1_LINES = _trace_text(_reference_write, _v1_header(RING6_HEADER),
-                       RING6_RUN).splitlines(keepends=True)
 
 
 def _with_token(line: str, name: str, token: str) -> str:
@@ -238,15 +172,16 @@ def _with_token(line: str, name: str, token: str) -> str:
     return line.replace(f'"{name}": {value},', f'"{name}": {token},', 1)
 
 
-def _row_tail(line: str) -> str:
-    """A format-1 row line after its round token."""
-    return line.split(", ", 2)[2]
+def _run_tail(line: str) -> str:
+    """A run line after its count token: the text of its last nine fields."""
+    return line.split(", ", 3)[3]
 
 
-# indices of format-1 row lines whose tail repeats the line before's, and of the others
-REPEATED = [i for i in range(2, len(V1_LINES) - 1)
-            if _row_tail(V1_LINES[i]) == _row_tail(V1_LINES[i - 1])]
-FRESH = [i for i in range(1, len(V1_LINES) - 1) if i not in REPEATED]
+# indices of run lines whose tail text an earlier run line has, so that the
+# reader takes its fields from its cache, and of the others
+REPEATED_TAIL = [i for i in range(2, len(TRACE_LINES) - 1)
+                 if _run_tail(TRACE_LINES[i]) in map(_run_tail, TRACE_LINES[1:i])]
+FRESH_TAIL = [i for i in range(1, len(TRACE_LINES) - 1) if i not in REPEATED_TAIL]
 # indices of run lines that stand for several rows, and for one
 MULTI = [i for i in range(1, len(TRACE_LINES) - 1) if json.loads(TRACE_LINES[i])["count"] > 1]
 SINGLE = [i for i in range(1, len(TRACE_LINES) - 1) if i not in MULTI]
@@ -272,12 +207,6 @@ class TestTraceSerialization:
             outs.append(buf.getvalue())
         assert outs[0] == outs[1]
 
-    def test_format_1_trace_reads_to_the_same_rows(self):
-        assert (read_trace(io.StringIO("".join(V1_LINES)))
-                == _reference_read(io.StringIO("".join(V1_LINES)))
-                == (_v1_header(RING6_HEADER), RING6_RUN.trace,
-                    json.loads(TRACE_LINES[-1])))
-
 
 # a run line's round or count token, respelled: the value JSON reads, or None
 # where the reader must raise
@@ -299,15 +228,14 @@ class TestTraceReader:
         lambda rec: json.dumps(rec, separators=(" ,  ", " :  ")) + "  ",
     ], ids=["reordered", "compact", "spaced"])
     def test_row_spellings_read_alike(self, spell):
-        """Run records (format 2) and row records (format 1) spelled other
-        than the writer spells them read as the same rows."""
-        for original in (TRACE_LINES, V1_LINES):
-            lines = [original[0]]
-            lines += [spell(json.loads(line)) + "\n" for line in original[1:-1]]
-            lines.append(original[-1])
-            assert lines[1:-1] != original[1:-1]
-            _, rows, _ = read_trace(io.StringIO("".join(lines)))
-            assert rows == RING6_RUN.trace
+        """Run records spelled other than the writer spells them read as the
+        same rows."""
+        lines = [TRACE_LINES[0]]
+        lines += [spell(json.loads(line)) + "\n" for line in TRACE_LINES[1:-1]]
+        lines.append(TRACE_LINES[-1])
+        assert lines[1:-1] != TRACE_LINES[1:-1]
+        _, rows, _ = read_trace(io.StringIO("".join(lines)))
+        assert rows == RING6_RUN.trace
 
     @pytest.mark.parametrize("name, token, value", _RUN_TOKENS,
                              ids=[f"{name}={token!r}" for name, token, _ in _RUN_TOKENS])
@@ -398,16 +326,17 @@ class TestRunRecordBounds:
         lines = [TRACE_LINES[1], TRACE_LINES[0]] + TRACE_LINES[2:]
         assert self._read(lines) == ("error", 1)
 
-    @pytest.mark.parametrize("header", [
-        _v1_header(RING6_HEADER), {**RING6_HEADER, "format": 3},
-        {**RING6_HEADER, "format": "2"}, {**RING6_HEADER, "round_cap": None},
-        {**RING6_HEADER, "round_cap": True},
+    @pytest.mark.parametrize("header, line", [
+        ({k: v for k, v in RING6_HEADER.items() if k != "format"}, 1),
+        ({**RING6_HEADER, "format": 3}, 1), ({**RING6_HEADER, "format": "2"}, 1),
+        ({**RING6_HEADER, "round_cap": None}, 2), ({**RING6_HEADER, "round_cap": True}, 2),
     ], ids=["format-1", "format-3", "format-string", "cap-null", "cap-bool"])
-    def test_header_without_a_format_2_cap(self, header):
-        """Runs after a header with no format field, another format, or no
-        integer round_cap raise on their line."""
+    def test_header_without_a_format_2_cap(self, header, line):
+        """A header with no format field (format 1) or another format raises
+        on its own line; runs after a header with no integer round_cap raise
+        on theirs."""
         lines = [json.dumps(header) + "\n"] + TRACE_LINES[1:]
-        assert self._read(lines) == ("error", 2)
+        assert self._read(lines) == ("error", line)
 
 
 class TestTraceErrors:
@@ -596,7 +525,7 @@ class TestMatchesReferenceEngine:
 # ----------------------------------------------------------------------------
 # reference trace I/O: run records rendered one by one through json.dumps,
 # and a replay that checks every row; write_trace, read_trace and
-# replay_check must agree with them and with the format-1 references above
+# replay_check must agree with them
 # ----------------------------------------------------------------------------
 
 def _reference_run_lines(rows):
@@ -683,20 +612,71 @@ def _rows_with_repeated_tails(draw):
     return rows
 
 
+def _read_by_json(lines):
+    """What read_trace must make of RING6's trace lines after one run line is
+    respelled: the trace of the run records json.loads reads from them, or
+    ("error", line) for the first line it cannot read or whose round is no
+    integer."""
+    runs = []
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            rec = json.loads(line)
+        except ValueError:
+            return "error", lineno
+        if rec["kind"] == "rows":
+            if type(rec["round"]) is not int:
+                return "error", lineno
+            runs.append(rec)
+    return RING6_HEADER, _expand(runs), json.loads(TRACE_LINES[-1])
+
+
+def _expanded(violations):
+    """replay_check's lines with each ``rows a..b: <fault>`` line written once
+    per row, as the row-by-row reference writes them."""
+    out = []
+    for line in violations:
+        span, _, fault = line.partition(": ")
+        if span.startswith("rows "):
+            first, last = map(int, span[5:].split(".."))
+            out += [f"row {rnd}: {fault}" for rnd in range(first, last + 1)]
+        else:
+            out.append(line)
+    return out
+
+
+# (row index, count) of each run of BUTTERFLY_ROWS, and of those of two rows or more
+_COUNTS = [count for _, count in BUTTERFLY_ROWS.runs()]
+BUTTERFLY_RUNS = list(zip(accumulate(_COUNTS, initial=0), _COUNTS))
+LONG_BUTTERFLY_RUNS = [(i, count) for i, count in BUTTERFLY_RUNS if count > 1]
+
+
+@st.composite
+def _whole_runs_perturbed(draw):
+    """BUTTERFLY_ROWS with one to three of its runs changed whole: each row
+    of the run gets the same change of one field."""
+    rows = list(BUTTERFLY_ROWS)
+    for _ in range(draw(st.integers(1, 3), label="runs")):
+        i, count = draw(st.sampled_from(LONG_BUTTERFLY_RUNS) | st.sampled_from(BUTTERFLY_RUNS),
+                        label="run")
+        name = draw(st.sampled_from(TraceRow._fields), label="field")
+        change = draw(st.sampled_from([-2, -1, 1, 200]), label="change")
+        k = TraceRow._fields.index(name)
+        rows[i:i + count] = [row._replace(**{name: row[k] + change})
+                             for row in rows[i:i + count]]
+    return rows
+
+
 class TestMatchesReferenceTraceIO:
     @given(_rows_with_repeated_tails())
     def test_writer_bytes(self, rows):
         """write_trace writes the reference run records, and read_trace reads
-        them, and the format-1 reference trace of the same rows, back to the
-        rows."""
+        them back to the rows."""
         result = RunResult(CAP, None, len(rows), 0, 1, 1, rows)
         header = trace_header(RING6, 0, 3, 2, 3, SimConfig())
         text = _trace_text(write_trace, header, result)
         lines = text.splitlines(keepends=True)
         assert lines[1:-1] == _reference_run_lines(rows)
         assert read_trace(io.StringIO(text))[1] == rows
-        v1 = _trace_text(_reference_write, _v1_header(header), result)
-        assert read_trace(io.StringIO(v1)) == _reference_read(io.StringIO(v1))
 
     @pytest.mark.parametrize("token", [
         "01", "-0", "+1", " 1", "1.0", "1_0", "\u0661", "1" * 19, "", None,
@@ -704,41 +684,39 @@ class TestMatchesReferenceTraceIO:
             "arabic-indic", "19-digits", "empty", "no-newline"])
     @pytest.mark.parametrize("which", ["repeated", "fresh"])
     def test_reader_round_token(self, token, which):
-        """Mutate one format-1 row's round token (or drop its newline) and read
-        the trace as a list of lines and as one text: rows or the error line
-        must equal the reference reader's."""
-        lines = list(V1_LINES)
-        i = (REPEATED if which == "repeated" else FRESH)[1]
+        """Mutate one run line's round token (or drop its newline) on a line
+        whose tail text an earlier line has, or on one whose tail is new, and
+        read the trace as a list of lines and as one text: rows or the error
+        line must be what json.loads reads from the lines."""
+        lines = list(TRACE_LINES)
+        i = (REPEATED_TAIL if which == "repeated" else FRESH_TAIL)[1]
         lines[i] = lines[i][:-1] if token is None else _with_token(lines[i], "round", token)
-        assert lines[i] != V1_LINES[i]
+        assert lines[i] != TRACE_LINES[i]
         for source in (lambda: list(lines), lambda: io.StringIO("".join(lines))):
-            assert (_read_or_error(read_trace, source())
-                    == _read_or_error(_reference_read, source()))
+            assert _read_or_error(read_trace, source()) == _read_by_json(source())
 
     @pytest.mark.parametrize("head", [
-        '{"kind": "rox", "round": ', '{"kind": "row","round": ', ' {"kind": "row", "round": ',
+        '{"kind": "rox", "round": ', '{"kind": "rows","round": ', ' {"kind": "rows", "round": ',
     ], ids=["other-kind", "compact", "indented"])
     def test_reader_row_head(self, head):
-        """A format-1 row line that ends like the row before it but starts
-        otherwise reads as the reference reader reads it."""
-        lines = list(V1_LINES)
-        i = REPEATED[-1]
+        """A run line whose tail text an earlier line has, but which starts
+        otherwise, reads as json.loads reads it."""
+        lines = list(TRACE_LINES)
+        i = REPEATED_TAIL[-1]
         assert json.loads(lines[i])["round"] >= 10
         lines[i] = head + lines[i].split(": ", 2)[2]
         assert (_read_or_error(read_trace, io.StringIO("".join(lines)))
-                == _read_or_error(_reference_read, io.StringIO("".join(lines))))
+                == _read_by_json(io.StringIO("".join(lines))))
 
     def test_longrun_shaped_trace_round_trips(self):
         """A long idle-heavy trace takes one line per run and reads back to
-        its rows in both formats."""
+        its rows."""
         header = trace_header(BUTTERFLY, 0, 4, 2, 3, SimConfig())
         text = _trace_text(write_trace, header, BUTTERFLY_RUN)
         lines = text.splitlines(keepends=True)
         assert lines[1:-1] == _reference_run_lines(BUTTERFLY_ROWS)
         assert len(lines) - 2 < len(BUTTERFLY_ROWS) / 4
         assert read_trace(io.StringIO(text))[1] == BUTTERFLY_ROWS
-        v1 = _trace_text(_reference_write, _v1_header(header), BUTTERFLY_RUN)
-        assert read_trace(io.StringIO(v1))[1] == BUTTERFLY_ROWS
 
     def test_longrun_shaped_trace_replays_clean(self):
         g, res = _butterfly_trace(40)
@@ -762,7 +740,15 @@ class TestMatchesReferenceTraceIO:
             if mutation != "perturb":
                 # the same row again right after it, under a new round
                 rows.insert(i + 1, rows[i]._replace(round=data.draw(st.integers(-5, 10 ** 6))))
-        assert replay_check(rows, BUTTERFLY) == _reference_replay(rows, BUTTERFLY)
+        assert (sorted(_expanded(replay_check(rows, BUTTERFLY)))
+                == sorted(_reference_replay(rows, BUTTERFLY)))
+
+    @given(_whole_runs_perturbed())
+    def test_replay_of_whole_run_perturbations(self, rows):
+        """A fault shared by a whole run is one line for the run, and each
+        expands to the reference's lines for its rows."""
+        assert (sorted(_expanded(replay_check(rows, BUTTERFLY)))
+                == sorted(_reference_replay(rows, BUTTERFLY)))
 
 
 @st.composite
